@@ -9,12 +9,13 @@ flags, and input files; outputs are written atomically.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import logging
-import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -45,26 +46,21 @@ def version_info() -> str:
 
 
 def _dataclass_from_dict(cls, data: dict, where: str):
-    """Build a dataclass from a dict, rejecting unknown keys, recursing
-    into nested dataclass fields."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    """Build a dataclass from a dict, rejecting unknown keys. Fields typed
+    as a dataclass are built recursively; JSON lists become tuples for
+    tuple-typed fields."""
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown config keys in '{where}': {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        ftype = fields[name].type
-        nested = _NESTED_CONFIGS.get((cls.__name__, name))
-        if nested is not None and isinstance(value, dict):
-            kwargs[name] = _dataclass_from_dict(nested, value, f"{where}.{name}")
-        elif name == "dims" and isinstance(value, list):
-            kwargs[name] = tuple(value)
-        elif name == "ratios" and isinstance(value, list):
-            kwargs[name] = tuple(value)
-        elif name == "fpr_targets" and isinstance(value, list):
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
+        hint = hints[name]
+        if dataclasses.is_dataclass(hint) and isinstance(value, dict):
+            value = _dataclass_from_dict(hint, value, f"{where}.{name}")
+        elif typing.get_origin(hint) is tuple and isinstance(value, list):
+            value = tuple(value)
+        kwargs[name] = value
     return cls(**kwargs)
 
 
@@ -176,7 +172,6 @@ def _cmd_train(args, config):
     params, centers, log = train(dataset, split, cfg)
     out = Path(args.out)
     save_checkpoint(params, centers, cfg, out / "checkpoint.json")
-    log.checkpoint_path = str(out / "checkpoint.json")
     atomic_write_text(out / "train_log.csv", log.to_csv())
     weights = params.fusion_weights_snapshot
     atomic_write_text(
@@ -189,16 +184,15 @@ def _cmd_train(args, config):
 
 def _cmd_eval(args, config):
     from .dataset import OpennessSplit, load
-    from .evaluation import EvalConfig, ccr_at_fpr, oscr_curve, score_test_set
+    from .evaluation import EvalConfig, oscr_curve, score_with_codes, summary as ccr_summary
     from .trainer import load_checkpoint
 
     eval_cfg = _dataclass_from_dict(EvalConfig, _section(config, "eval"), "eval")
-    params, centers, train_cfg = load_checkpoint(args.checkpoint)
+    params, _, train_cfg = load_checkpoint(args.checkpoint)
     dataset = load(args.manifest)
     split = OpennessSplit.from_json(Path(args.split).read_text())
-    preds = score_test_set(
-        params, centers, dataset, split,
-        config=eval_cfg, normalize=train_cfg.get("normalize", True),
+    preds, fused = score_with_codes(
+        params, dataset, split, config=eval_cfg, normalize=train_cfg.get("normalize", True)
     )
     curve = oscr_curve(preds)
     out = Path(args.out)
@@ -209,30 +203,12 @@ def _cmd_eval(args, config):
     ]
     atomic_write_text(out / "oscr_curve.csv", "\n".join(lines) + "\n")
 
-    summary = {
-        f"ccr_at_fpr_{t:g}": ccr_at_fpr(curve, t) for t in eval_cfg.fpr_targets
-    }
-    known_mask = [not p.is_unknown_truth for p in preds]
-    summary["known_accuracy"] = float(
-        np.mean([p.predicted == p.true_label for p in preds if not p.is_unknown_truth])
-    ) if any(known_mask) else 0.0
+    summary = ccr_summary(curve, eval_cfg.fpr_targets)
+    known_hits = [p.predicted == p.true_label for p in preds if not p.is_unknown_truth]
+    summary["known_accuracy"] = float(np.mean(known_hits)) if known_hits else 0.0
     summary["n_test"] = len(preds)
     atomic_write_text(out / "summary.json", canonical_json(summary))
 
-    from .dataset import zscore_normalize
-    from .dataset import Batch
-    from .unfold_net import forward
-
-    work = dataset
-    if train_cfg.get("normalize", True):
-        work, _ = zscore_normalize(dataset, split.train_idx)
-    rows = np.asarray(split.test_idx, dtype=np.intp)
-    batch = Batch(
-        views=[v[rows] for v in work.views],
-        labels=work.labels[rows],
-        is_pseudo=np.zeros(rows.size, dtype=bool),
-    )
-    fused = forward(batch, params, inference=True).z_fused.value
     _write_matrix_csv(out / "fused.csv", fused)
     _write_matrix_csv(out / "similarity.csv", fused @ fused.T)
     logger.info("eval summary: %s", summary)
@@ -292,72 +268,38 @@ def run_gradcheck(seed: int = 7, eps: float = 1e-5):
     loss over every parameter, against central finite differences."""
     from . import tensor_core as tc
     from .losses import LossConfig, total_loss
-    from .unfold_net import forward, params_from_dict, params_to_dict
+    from .unfold_net import forward
 
     combined, params = build_gradcheck_scenario(seed)
     loss_cfg = LossConfig(xi=1.0, lambda1=0.3, lambda2=0.2)
     rng = np.random.default_rng([seed, 903])
     centers = rng.normal(size=(5, 5)) * 0.3
-    names = sorted(
-        [f"d_init/{v}" for v in range(2)]
-        + [
-            f"{kind}/{l}/{v}"
-            for kind in ("r", "u", "m", "theta", "rho")
-            for l in range(2)
-            for v in range(2)
-        ]
-    )
-    base = params_to_dict(params)
+
+    def loss(trial):
+        res = forward(combined, trial, labels_for_fusion=combined.labels)
+        node, _ = total_loss(res.z_fused, combined.labels, combined.is_pseudo, centers, loss_cfg)
+        return node, res.param_nodes
 
     # analytic gradients come from the bound parameter nodes; the
     # finite-difference twin perturbs raw entries through the whole pipeline
-    from .losses import total_loss as _tl
+    root, param_nodes = loss(params)
+    tc.backward(root)
 
-    res = forward(combined, params, labels_for_fusion=combined.labels)
-    node, _ = _tl(res.z_fused, combined.labels, combined.is_pseudo, centers, loss_cfg)
-    tc.backward(node)
-
-    worst = 0.0
     per_param = {}
     grad_norms = {}
-    for name in names:
-        grad = res.param_nodes[name].grad
-        grad_norms[name] = float(np.linalg.norm(grad))
-        kind, *idx = name.split("/")
-        if kind == "d_init":
-            anchor = params.d_init[int(idx[0])]
-        elif kind in ("theta", "rho"):
-            anchor = np.array([[getattr(params, kind)[int(idx[0])][int(idx[1])]]])
-        else:
-            anchor = getattr(params, kind)[int(idx[0])][int(idx[1])]
-        flat = anchor.reshape(-1)
+    for name, node in param_nodes.items():
+        grad_norms[name] = float(np.linalg.norm(node.grad))
         err_max = 0.0
-        for j in range(flat.size):
-            vals = {}
+        for j, analytic in enumerate(node.grad.flat):
+            vals = []
             for sign in (1.0, -1.0):
-                trial = params_from_dict(base)
-                tgt = (
-                    trial.d_init[int(idx[0])]
-                    if kind == "d_init"
-                    else getattr(trial, kind)[int(idx[0])]
-                )
-                if kind in ("theta", "rho"):
-                    tgt[int(idx[1])] = flat[j] + sign * eps
-                elif kind == "d_init":
-                    tgt.reshape(-1)[j] = flat[j] + sign * eps
-                else:
-                    tgt[int(idx[1])].reshape(-1)[j] = flat[j] + sign * eps
-                out = forward(combined, trial, labels_for_fusion=combined.labels)
-                val = _tl(
-                    out.z_fused, combined.labels, combined.is_pseudo, centers, loss_cfg
-                )[0].item()
-                vals[sign] = val
-            central = (vals[1.0] - vals[-1.0]) / (2 * eps)
-            err = abs(grad.reshape(-1)[j] - central) / max(1.0, abs(central))
-            err_max = max(err_max, err)
+                trial = copy.deepcopy(params)
+                trial.named()[name].flat[j] += sign * eps
+                vals.append(loss(trial)[0].item())
+            central = (vals[0] - vals[1]) / (2 * eps)
+            err_max = max(err_max, abs(analytic - central) / max(1.0, abs(central)))
         per_param[name] = err_max
-        worst = max(worst, err_max)
-    return worst, per_param, grad_norms
+    return max(per_param.values()), per_param, grad_norms
 
 
 def _cmd_gradcheck(args, config):
@@ -392,7 +334,7 @@ def _cmd_diag(args, config):
     node, _ = total_loss(res.z_fused, scenario.labels, scenario.is_pseudo, centers, cfg)
     tc.backward(node)
     stats = batch_stats(res.z_fused.value, scenario.labels, scenario.is_pseudo, centers)
-    bound = gradient_bound(res.z_fused.value, cfg, stats)
+    bound = gradient_bound(cfg, stats)
     measured = measured_gradient_norm(res.z_fused.grad)
     report["gradient_bound"] = {
         "bound": bound,
@@ -489,7 +431,6 @@ def main(argv=None) -> int:
         level=logging.WARNING if getattr(args, "quiet", False) else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    os.environ.setdefault("OPENVIEWER_THREADS", "1")
     try:
         config = _load_config_file(getattr(args, "config", None))
         return _COMMANDS[args.command](args, config)
@@ -499,23 +440,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         logger.error("%s: %s", type(exc).__name__, exc)
         return EXIT_RUNTIME
-
-
-
-_NESTED_CONFIGS = {}
-
-
-def _register_nested():
-    from .admm_oracle import AdmmConfig
-    from .losses import LossConfig
-    from .pseudo_gen import MixConfig
-
-    _NESTED_CONFIGS[("TrainConfig", "mix")] = MixConfig
-    _NESTED_CONFIGS[("TrainConfig", "loss")] = LossConfig
-    _NESTED_CONFIGS[("TrainConfig", "admm")] = AdmmConfig
-
-
-_register_nested()
 
 
 if __name__ == "__main__":

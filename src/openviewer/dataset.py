@@ -133,6 +133,10 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
         raise DatasetError(f"cannot read view file {path}: {exc}") from exc
     except ValueError as exc:
         raise DatasetError(f"malformed CSV in {path}: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0] + 1
+        raise DatasetError(f"non-finite value in {path} at row {row}, column {col}")
     return data
 
 

@@ -60,11 +60,22 @@ def score_test_set(
     normalize: bool = True,
     indices=None,
 ) -> list[ScoredPrediction]:
-    """Inference-mode forward over the test rows, one score per sample.
+    """One score per test row, as `score_with_codes`; `centers` is unused."""
+    return score_with_codes(params, dataset, split, config, normalize, indices)[0]
 
-    Predicted classes are reported as original dataset class ids; the
-    confidence is the max softmax probability (or a squashed code norm).
-    """
+
+def score_with_codes(
+    params: UnfoldParams,
+    dataset: MultiViewDataset,
+    split: OpennessSplit,
+    config: EvalConfig | None = None,
+    normalize: bool = True,
+    indices=None,
+) -> tuple[list[ScoredPrediction], np.ndarray]:
+    """Inference-mode forward over the test rows (or `indices`): one score
+    per sample, plus the fused codes. Predicted classes are dataset class
+    ids; the confidence is the max softmax probability (or a squashed
+    code norm)."""
     cfg = config or EvalConfig()
     cfg.validate()
     if dataset.view_dims != params.view_dims:
@@ -85,13 +96,13 @@ def score_test_set(
         labels=work.labels[rows],
         is_pseudo=np.zeros(rows.size, dtype=bool),
     )
-    res = forward(batch, params, inference=True)
-    classes, confidence = predict(res.z_fused.value)
+    fused = forward(batch, params, inference=True).z_fused.value
+    classes, confidence = predict(fused)
     if cfg.score == "norm":
-        norms = np.linalg.norm(res.z_fused.value, axis=1)
+        norms = np.linalg.norm(fused, axis=1)
         confidence = norms / (1.0 + norms)
     unknown = set(split.unknown_classes)
-    return [
+    preds = [
         ScoredPrediction(
             index=int(i),
             predicted=int(known[c]),
@@ -101,6 +112,7 @@ def score_test_set(
         )
         for i, c, s, t in zip(rows, classes, confidence, batch.labels)
     ]
+    return preds, fused
 
 
 def oscr_curve(preds: list[ScoredPrediction]) -> OscrCurve:

@@ -200,7 +200,7 @@ def batch_stats(z_values: np.ndarray, labels, is_pseudo, centers: np.ndarray) ->
     )
 
 
-def gradient_bound(z_values: np.ndarray, config: LossConfig, stats: BatchStats) -> float:
+def gradient_bound(config: LossConfig, stats: BatchStats) -> float:
     """Upper bound on the per-sample norm of dL_total/dz, evaluated termwise.
 
     Uses batch-maximum norms for every statistic; the center-update

@@ -65,7 +65,6 @@ class TrainConfig:
     normalize: bool = True
     warm_start: bool = False
     fusion_snapshot_mode: str = "ema"
-    group_axis: str = "columns"
     precondition: bool = True
     threshold_step_scale: float | None = None
 
@@ -100,7 +99,6 @@ class EpochStats:
 @dataclass
 class TrainLog:
     epochs: list[EpochStats] = field(default_factory=list)
-    checkpoint_path: str | None = None
 
     def to_csv(self) -> str:
         if not self.epochs:
@@ -131,41 +129,26 @@ def step_preconditioner(params: UnfoldParams, threshold_step_scale: float | None
     `threshold_step_scale` to let them travel across their operating range.
     """
     scales: dict[str, float] = {}
-    for v in range(params.n_views):
-        scales[f"d_init/{v}"] = 1.0
-        for l in range(params.num_layers):
-            scales[f"r/{l}/{v}"] = 1.0
-            scales[f"u/{l}/{v}"] = float(params.u[l][v][0, 0]) ** 2
-            scales[f"m/{l}/{v}"] = float(params.m[l][v][0, 0]) ** 2
-            t_scale = (
+    for name, value in params.named().items():
+        if name.startswith(("theta/", "rho/")):
+            scales[name] = (
                 threshold_step_scale
                 if threshold_step_scale is not None
-                else max(params.theta[l][v], 1e-3) ** 2
+                else max(float(value[0, 0]), 1e-3) ** 2
             )
-            r_scale = (
-                threshold_step_scale
-                if threshold_step_scale is not None
-                else max(params.rho[l][v], 1e-3) ** 2
-            )
-            scales[f"theta/{l}/{v}"] = t_scale
-            scales[f"rho/{l}/{v}"] = r_scale
+        elif name.startswith(("u/", "m/")):
+            scales[name] = float(value[0, 0]) ** 2
+        else:
+            scales[name] = 1.0
     return scales
 
 
 def sgd_step(params: UnfoldParams, gradients: dict[str, np.ndarray], eta: float) -> UnfoldParams:
     """Plain descent step; thresholds are clamped back to >= 0 afterward."""
+    named = params.named()
     for name, grad in gradients.items():
-        kind, *idx = name.split("/")
-        if kind == "d_init":
-            target = params.d_init[int(idx[0])]
-        elif kind in ("r", "u", "m"):
-            target = getattr(params, kind)[int(idx[0])][int(idx[1])]
-        elif kind in ("theta", "rho"):
-            l, v = int(idx[0]), int(idx[1])
-            store = getattr(params, kind)
-            store[l][v] = store[l][v] - eta * float(grad[0, 0])
-            continue
-        else:
+        target = named.get(name)
+        if target is None:
             raise TrainerError(f"unknown parameter name {name!r}")
         if target.shape != grad.shape:
             raise TrainerError(f"gradient shape {grad.shape} mismatches {name} {target.shape}")
@@ -216,7 +199,7 @@ def train(
         seed=[config.seed, _INIT_STREAM],
         num_layers=config.layers,
         warm_start=warm,
-        group_axis=config.group_axis,
+        group_axis=config.admm.group_axis,
         ablation=config.ablation,
         expected_rows=expected_rows,
     )
@@ -279,7 +262,7 @@ def train(
             tc.backward(node)
 
             stats = batch_stats(res.z_fused.value, combined.labels, combined.is_pseudo, centers)
-            bound = gradient_bound(res.z_fused.value, config.loss, stats)
+            bound = gradient_bound(config.loss, stats)
             measured = measured_gradient_norm(res.z_fused.grad)
             if measured > bound:
                 raise TrainerError(
@@ -361,4 +344,38 @@ def load_checkpoint(path) -> tuple[UnfoldParams, CenterState, dict]:
         config = payload["config"]
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"checkpoint {path} is missing fields: {exc}") from exc
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {path} has malformed fields: {exc}") from exc
+    _check_param_shapes(params, path)
     return params, centers, config
+
+
+def _check_param_shapes(params: UnfoldParams, path) -> None:
+    """Every parameter must be finite and shaped as view_dims, num_classes
+    and num_layers say. Expected shapes come from read-only broadcast
+    arrays, so no size read from the file is ever allocated."""
+    c, layers, views = params.num_classes, params.num_layers, params.n_views
+    try:
+        found = params.named()
+        square = [[np.broadcast_to(0.0, (c, c))] * views] * layers
+        template = UnfoldParams(
+            params.view_dims, c, layers, r=square, u=square, m=square,
+            theta=np.zeros((layers, views)), rho=np.zeros((layers, views)),
+            d_init=[np.broadcast_to(0.0, (c, dim)) for dim in params.view_dims],
+        )
+    except (IndexError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path}: malformed parameters: {exc}") from exc
+    for name, want in template.named().items():
+        have = found[name]
+        if have.shape != want.shape:
+            raise CheckpointError(
+                f"checkpoint {path}: {name} has shape {have.shape}, expected {want.shape}"
+            )
+        if not np.all(np.isfinite(have)):
+            raise CheckpointError(f"checkpoint {path}: {name} has non-finite entries")
+    snapshot = params.fusion_weights_snapshot
+    if snapshot is not None and snapshot.shape != (params.n_views,):
+        raise CheckpointError(
+            f"checkpoint {path}: fusion_weights_snapshot has shape {snapshot.shape}, "
+            f"expected ({params.n_views},)"
+        )

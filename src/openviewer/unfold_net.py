@@ -44,7 +44,8 @@ class StateError(RuntimeError):
 
 @dataclass
 class UnfoldParams:
-    """Learnable per-view, per-layer parameter set plus frozen fusion weights."""
+    """Learnable per-view, per-layer parameter set plus frozen fusion weights.
+    `theta` and `rho` are (num_layers, n_views) arrays (converted on init)."""
 
     view_dims: list[int]
     num_classes: int
@@ -52,22 +53,45 @@ class UnfoldParams:
     r: list[list[np.ndarray]]
     u: list[list[np.ndarray]]
     m: list[list[np.ndarray]]
-    theta: list[list[float]]
-    rho: list[list[float]]
+    theta: np.ndarray
+    rho: np.ndarray
     d_init: list[np.ndarray]
     fusion_weights_snapshot: np.ndarray | None = None
     group_axis: str = "columns"
     ablation: str = "full"
 
+    def __post_init__(self):
+        if self.ablation not in ABLATIONS:
+            raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
+        self.theta = np.array(self.theta, dtype=np.float64)
+        self.rho = np.array(self.rho, dtype=np.float64)
+
     @property
     def n_views(self) -> int:
         return len(self.view_dims)
 
-    def clamp_thresholds(self) -> None:
+    @staticmethod
+    def key(kind: str, *index: int) -> str:
+        """Parameter name `kind/layer/view` (`d_init/view` for dictionaries)."""
+        return "/".join((kind, *map(str, index)))
+
+    def named(self) -> dict[str, np.ndarray]:
+        """Every parameter as a writable float64 array keyed by `key`, in
+        bind order: `d_init/*`, then per layer and view r, u, theta, m, rho.
+        Thresholds are (1, 1) views, so writes update the parameter set."""
+        out = {self.key("d_init", v): d for v, d in enumerate(self.d_init)}
         for l in range(self.num_layers):
             for v in range(self.n_views):
-                self.theta[l][v] = max(0.0, self.theta[l][v])
-                self.rho[l][v] = max(0.0, self.rho[l][v])
+                out[self.key("r", l, v)] = self.r[l][v]
+                out[self.key("u", l, v)] = self.u[l][v]
+                out[self.key("theta", l, v)] = self.theta[l : l + 1, v : v + 1]
+                out[self.key("m", l, v)] = self.m[l][v]
+                out[self.key("rho", l, v)] = self.rho[l : l + 1, v : v + 1]
+        return out
+
+    def clamp_thresholds(self) -> None:
+        np.maximum(self.theta, 0.0, out=self.theta)
+        np.maximum(self.rho, 0.0, out=self.rho)
 
 
 @dataclass
@@ -106,8 +130,6 @@ def init_params(
     well-scaled (Z^T Z grows linearly with the row count); without the hint
     a tiny ridge is used, which is only safe for single-layer networks.
     """
-    if ablation not in ABLATIONS:
-        raise ValueError(f"ablation must be one of {ABLATIONS}, got {ablation!r}")
     cfg = admm_config or AdmmConfig()
     view_dims = [int(d) for d in view_dims]
     c = int(num_classes)
@@ -123,32 +145,22 @@ def init_params(
             dv /= np.linalg.norm(dv, axis=1, keepdims=True)
             d_init.append(dv)
 
-    r, u, m, theta, rho = [], [], [], [], []
     eye = np.eye(c)
-    for _ in range(num_layers):
-        r_l, u_l, m_l, th_l, rh_l = [], [], [], [], []
-        for dv in d_init:
-            l_p = power_iteration_norm(dv @ dv.T)
-            r_l.append(eye - (dv @ dv.T) / l_p)
-            u_l.append(eye / l_p)
-            m_l.append(eye / (cfg.beta + ridge))
-            th_l.append(cfg.alpha / l_p)
-            rh_l.append(cfg.gamma / l_p)
-        r.append(r_l)
-        u.append(u_l)
-        m.append(m_l)
-        theta.append(th_l)
-        rho.append(rh_l)
+    l_p = [power_iteration_norm(dv @ dv.T) for dv in d_init]
+
+    def per_layer(make):
+        """Fresh (num_layers x views) values of `make(D_v, L_v)`."""
+        return [[make(dv, lp) for dv, lp in zip(d_init, l_p)] for _ in range(num_layers)]
 
     return UnfoldParams(
         view_dims=view_dims,
         num_classes=c,
         num_layers=num_layers,
-        r=r,
-        u=u,
-        m=m,
-        theta=theta,
-        rho=rho,
+        r=per_layer(lambda dv, lp: eye - (dv @ dv.T) / lp),
+        u=per_layer(lambda dv, lp: eye / lp),
+        m=per_layer(lambda dv, lp: eye / (cfg.beta + ridge)),
+        theta=per_layer(lambda dv, lp: cfg.alpha / lp),
+        rho=per_layer(lambda dv, lp: cfg.gamma / lp),
         d_init=d_init,
         group_axis=group_axis,
         ablation=ablation,
@@ -216,20 +228,13 @@ def fusion_weights(z_views: list[tc.DiffNode], labels) -> tc.DiffNode:
 # full forward pass
 
 
+# parameter kinds an ablation never reads, as name prefixes
+_INERT = {"full": (), "no_dn": ("rho/",), "no_cd_dn": ("m/", "rho/")}
+
+
 def _bind_params(params: UnfoldParams) -> dict[str, tc.DiffNode]:
-    nodes: dict[str, tc.DiffNode] = {}
-    for v in range(params.n_views):
-        nodes[f"d_init/{v}"] = tc.leaf(params.d_init[v])
-    for l in range(params.num_layers):
-        for v in range(params.n_views):
-            nodes[f"r/{l}/{v}"] = tc.leaf(params.r[l][v])
-            nodes[f"u/{l}/{v}"] = tc.leaf(params.u[l][v])
-            nodes[f"theta/{l}/{v}"] = tc.leaf([[params.theta[l][v]]])
-            if params.ablation != "no_cd_dn":
-                nodes[f"m/{l}/{v}"] = tc.leaf(params.m[l][v])
-            if params.ablation == "full":
-                nodes[f"rho/{l}/{v}"] = tc.leaf([[params.rho[l][v]]])
-    return nodes
+    inert = _INERT[params.ablation]
+    return {n: tc.leaf(a) for n, a in params.named().items() if not n.startswith(inert)}
 
 
 def forward(
@@ -259,7 +264,8 @@ def forward(
     x = [tc.constant(v) for v in views]
     z = [tc.constant(np.zeros((n, params.num_classes))) for _ in range(params.n_views)]
     e: list[tc.DiffNode | None] = [None] * params.n_views
-    d = [nodes[f"d_init/{v}"] for v in range(params.n_views)]
+    key = params.key
+    d = [nodes[key("d_init", v)] for v in range(params.n_views)]
 
     v_count = params.n_views
     uniform = np.full((1, v_count), 1.0 / v_count)
@@ -270,12 +276,12 @@ def forward(
         for v in range(v_count):
             z[v] = rf_forward(
                 z[v], x[v], e[v], d[v],
-                nodes[f"r/{l}/{v}"], nodes[f"u/{l}/{v}"], nodes[f"theta/{l}/{v}"],
+                nodes[key("r", l, v)], nodes[key("u", l, v)], nodes[key("theta", l, v)],
             )
             if params.ablation != "no_cd_dn":
-                d[v] = cd_forward(z[v], x[v], e[v], nodes[f"m/{l}/{v}"])
+                d[v] = cd_forward(z[v], x[v], e[v], nodes[key("m", l, v)])
             if params.ablation == "full":
-                e[v] = dn_forward(x[v], z[v], d[v], nodes[f"rho/{l}/{v}"], params.group_axis)
+                e[v] = dn_forward(x[v], z[v], d[v], nodes[key("rho", l, v)], params.group_axis)
 
         if inference:
             w = tc.constant(params.fusion_weights_snapshot.reshape(1, -1))
@@ -326,11 +332,9 @@ def params_to_dict(params: UnfoldParams) -> dict:
         "view_dims": list(params.view_dims),
         "num_classes": params.num_classes,
         "num_layers": params.num_layers,
-        "r": [[m.tolist() for m in layer] for layer in params.r],
-        "u": [[m.tolist() for m in layer] for layer in params.u],
-        "m": [[m.tolist() for m in layer] for layer in params.m],
-        "theta": [list(layer) for layer in params.theta],
-        "rho": [list(layer) for layer in params.rho],
+        **{k: [[a.tolist() for a in row] for row in getattr(params, k)] for k in ("r", "u", "m")},
+        "theta": params.theta.tolist(),
+        "rho": params.rho.tolist(),
         "d_init": [m.tolist() for m in params.d_init],
         "fusion_weights_snapshot": (
             None
@@ -348,11 +352,9 @@ def params_from_dict(data: dict) -> UnfoldParams:
         view_dims=[int(d) for d in data["view_dims"]],
         num_classes=int(data["num_classes"]),
         num_layers=int(data["num_layers"]),
-        r=[[np.array(m) for m in layer] for layer in data["r"]],
-        u=[[np.array(m) for m in layer] for layer in data["u"]],
-        m=[[np.array(m) for m in layer] for layer in data["m"]],
-        theta=[[float(t) for t in layer] for layer in data["theta"]],
-        rho=[[float(t) for t in layer] for layer in data["rho"]],
+        **{k: [[np.array(a) for a in layer] for layer in data[k]] for k in ("r", "u", "m")},
+        theta=data["theta"],
+        rho=data["rho"],
         d_init=[np.array(m) for m in data["d_init"]],
         fusion_weights_snapshot=None if snapshot is None else np.array(snapshot),
         group_axis=data["group_axis"],

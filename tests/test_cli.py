@@ -72,6 +72,29 @@ class TestVersionAndUsage:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+class TestConfigLoading:
+    def test_sections_follow_type_hints(self):
+        from openviewer.cli import _dataclass_from_dict
+        from openviewer.evaluation import EvalConfig
+        from openviewer.trainer import TrainConfig
+
+        cfg = _dataclass_from_dict(
+            TrainConfig, {"mix": {"omega": 3.0}, "admm": {"group_axis": "rows"}}, "train"
+        )
+        assert cfg.mix.omega == 3.0
+        assert cfg.admm.group_axis == "rows"
+        assert cfg.loss == TrainConfig().loss
+        ev = _dataclass_from_dict(EvalConfig, {"fpr_targets": [0.1, 0.2]}, "eval")
+        assert ev.fpr_targets == (0.1, 0.2)
+
+    def test_unknown_nested_key_names_its_section(self):
+        from openviewer.cli import ConfigError, _dataclass_from_dict
+        from openviewer.trainer import TrainConfig
+
+        with pytest.raises(ConfigError, match=r"train\.admm"):
+            _dataclass_from_dict(TrainConfig, {"admm": {"gama": 1.0}}, "train")
+
+
 class TestSynth:
     def test_outputs_are_loadable_and_planted(self, tmp_path):
         cfg = write_experiment_config(tmp_path / "config.json")

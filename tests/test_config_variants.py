@@ -19,7 +19,6 @@ def test_row_grouping_trains_and_differs():
     dataset, split = tiny_run_inputs()
     cols, _, _ = trainer.train(dataset, split, quick_config())
     cfg = quick_config()
-    cfg.group_axis = "rows"
     cfg.admm.group_axis = "rows"
     rows, _, _ = trainer.train(dataset, split, cfg)
     assert rows.group_axis == "rows"

@@ -58,6 +58,14 @@ class TestConstruction:
         with pytest.raises(DatasetError, match="view_1"):
             load(manifest)
 
+    def test_non_finite_cell_names_file(self, tmp_path):
+        rng = np.random.default_rng(3)
+        bad = rng.normal(size=(6, 2))
+        bad[4, 1] = np.nan
+        manifest = write_manifest(tmp_path, [rng.normal(size=(6, 3)), bad], [0, 0, 1, 1, 2, 2])
+        with pytest.raises(DatasetError, match=r"non-finite value in .*view_1\.csv at row 5, column 2"):
+            load(manifest)
+
     def test_label_out_of_range(self):
         with pytest.raises(DatasetError, match="label out of range"):
             MultiViewDataset(

@@ -188,7 +188,7 @@ class TestGradientBound:
         centers = np.zeros((c, c))
         cfg = LossConfig(xi=5.0, lambda1=0.2, lambda2=0.3)
         stats = batch_stats(z, labels, is_pseudo, centers)
-        eps = gradient_bound(z, cfg, stats)
+        eps = gradient_bound(cfg, stats)
         uniform_norm = 1.0 / math.sqrt(c)
         expected = (
             uniform_norm / 4 + 1.0 / 4 + 2 * cfg.xi
@@ -214,7 +214,7 @@ class TestGradientBound:
             )
             centers = rng.normal(size=(c, c)) * 2.0
             stats = batch_stats(z, labels, is_pseudo, centers)
-            eps = gradient_bound(z, cfg, stats)
+            eps = gradient_bound(cfg, stats)
             measured = self._measure(z, labels, is_pseudo, centers, cfg)
             assert measured <= eps, f"trial {trial}: {measured} > {eps}"
 
@@ -229,7 +229,7 @@ class TestGradientBound:
         for factor in (1.0, 0.5, 0.0):
             zs = z * factor
             stats = batch_stats(zs, labels, is_pseudo, centers)
-            eps = gradient_bound(zs, cfg, stats)
+            eps = gradient_bound(cfg, stats)
             assert self._measure(zs, labels, is_pseudo, centers, cfg) <= eps
 
     def test_config_validation(self):

@@ -80,6 +80,12 @@ class TestSgdStep:
         sgd_step(params, {"theta/0/0": np.array([[1.0]])}, 0.1)
         assert params.theta[0][0] == 0.0
 
+    def test_noise_threshold_clamped_at_zero(self):
+        params = init_params([8], 3, seed=0)
+        params.rho[0][0] = 0.05
+        sgd_step(params, {"rho/0/0": np.array([[1.0]])}, 0.1)
+        assert params.rho[0][0] == 0.0
+
     def test_shape_mismatch_rejected(self):
         params = init_params([8], 3, seed=0)
         with pytest.raises(TrainerError):
@@ -230,6 +236,39 @@ class TestCheckpoints:
         payload["schema_version"] = "999"
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="999"):
+            load_checkpoint(path)
+
+    def test_parameter_shape_mismatch_names_file_and_field(self, tmp_path):
+        params, _, _, path = self._trained(tmp_path)
+        payload = json.loads(path.read_text())
+        c = params.num_classes
+        payload["params"]["r"][0][1] = np.eye(c - 1).tolist()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=r"ckpt\.json.*r/0/1"):
+            load_checkpoint(path)
+
+    def test_missing_layer_rejected(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["params"]["theta"] = payload["params"]["theta"][:1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=r"ckpt\.json.*theta/1/0"):
+            load_checkpoint(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["params"]["u"][1][0][0][0] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=r"ckpt\.json.*u/1/0"):
+            load_checkpoint(path)
+
+    def test_unknown_ablation_rejected(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["params"]["ablation"] = "no_cd"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=r"ckpt\.json.*no_cd"):
             load_checkpoint(path)
 
     def test_wrong_class_count_fails_at_eval(self, tmp_path):

@@ -340,6 +340,38 @@ class TestPredict:
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
 
 
+class TestNamedParams:
+    def test_bind_order_and_shapes(self):
+        params = init_params([9, 7], 4, seed=3, num_layers=2)
+        names = list(params.named())
+        assert names[:7] == ["d_init/0", "d_init/1", "r/0/0", "u/0/0", "theta/0/0", "m/0/0",
+                             "rho/0/0"]
+        assert len(names) == 2 + 5 * 2 * 2
+        shapes = {name: a.shape for name, a in params.named().items()}
+        assert shapes["d_init/1"] == (4, 7)
+        assert shapes["m/1/1"] == (4, 4)
+        assert shapes["theta/1/0"] == shapes["rho/0/1"] == (1, 1)
+
+    def test_writes_reach_the_parameter_set(self):
+        params = init_params([9, 7], 4, seed=3, num_layers=2)
+        named = params.named()
+        named["theta/1/0"][0, 0] = 0.25
+        named["rho/0/1"] -= 0.5
+        named["r/0/1"][2, 3] = 7.0
+        assert params.theta[1][0] == 0.25
+        assert params.rho[0][1] == init_params([9, 7], 4, seed=3, num_layers=2).rho[0][1] - 0.5
+        assert params.r[0][1][2, 3] == 7.0
+
+    def test_ablations_bind_only_live_kinds(self):
+        dataset, _ = synthgen.generate(small_spec())
+        batch = batch_from_dataset(dataset, range(0, 40, 4))
+        for mode, dead in (("full", set()), ("no_dn", {"rho"}), ("no_cd_dn", {"m", "rho"})):
+            params = init_params(dataset.view_dims, dataset.class_count, seed=4, ablation=mode)
+            bound = set(forward(batch, params).param_nodes)
+            live = {n for n in params.named() if n.split("/")[0] not in dead}
+            assert bound == live, mode
+
+
 class TestSerialization:
     def test_roundtrip(self):
         params = init_params([9, 7], 4, seed=17, num_layers=2)
@@ -388,16 +420,4 @@ class TestSerialization:
 
 
 def _assign(params, name, flat_index, value):
-    kind, *idx = name.split("/")
-    if kind == "d_init":
-        arr = params.d_init[int(idx[0])].copy()
-        arr.reshape(-1)[flat_index] = value
-        params.d_init[int(idx[0])] = arr
-    elif kind == "r":
-        arr = params.r[int(idx[0])][int(idx[1])].copy()
-        arr.reshape(-1)[flat_index] = value
-        params.r[int(idx[0])][int(idx[1])] = arr
-    elif kind == "theta":
-        params.theta[int(idx[0])][int(idx[1])] = value
-    else:
-        raise KeyError(name)
+    params.named()[name].flat[flat_index] = value
