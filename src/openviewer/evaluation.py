@@ -116,21 +116,25 @@ def score_with_codes(
 
 
 def oscr_curve(preds: list[ScoredPrediction]) -> OscrCurve:
-    """Threshold sweep over the distinct confidences, high to low."""
+    """Threshold sweep over the distinct confidences, high to low.
+
+    The counts at or above each threshold come from sorted confidences
+    and `np.searchsorted`; CCR and FPR are those counts divided by the
+    number of known and unknown samples."""
     known = [p for p in preds if not p.is_unknown_truth]
     unknown = [p for p in preds if p.is_unknown_truth]
     if not known or not unknown:
         raise MetricError("OSCR needs at least one known-truth and one unknown-truth sample")
-    conf = np.array([p.confidence for p in preds])
-    kn_conf = np.array([p.confidence for p in known])
-    kn_correct = np.array([p.predicted == p.true_label for p in known])
-    un_conf = np.array([p.confidence for p in unknown])
-    points = []
-    for thr in np.unique(conf)[::-1]:
-        ccr = float(np.mean(kn_correct & (kn_conf >= thr)))
-        fpr = float(np.mean(un_conf >= thr))
-        points.append((float(thr), ccr, fpr))
-    return OscrCurve(points=points)
+    thresholds = np.unique([p.confidence for p in preds])[::-1]
+
+    def share_at_or_above(conf: list[float], total: int) -> np.ndarray:
+        ordered = np.sort(np.asarray(conf, dtype=np.float64))
+        return (ordered.size - np.searchsorted(ordered, thresholds, side="left")) / total
+
+    correct = [p.confidence for p in known if p.predicted == p.true_label]
+    ccr = share_at_or_above(correct, len(known))
+    fpr = share_at_or_above([p.confidence for p in unknown], len(unknown))
+    return OscrCurve(points=list(zip(thresholds.tolist(), ccr.tolist(), fpr.tolist())))
 
 
 def ccr_at_fpr(curve: OscrCurve, target_fpr: float) -> float:

@@ -57,23 +57,30 @@ def generate_pseudo(batch: Batch, config: MixConfig, rng: np.random.Generator) -
     """
     config.validate()
     labels = batch.labels
-    if np.unique(labels).size < 2:
+    classes = np.unique(labels).tolist()
+    if len(classes) < 2:
         raise GenerationError("pseudo generation needs at least 2 distinct classes in the batch")
     b = batch.size
     n_pseudo = math.ceil(config.pseudo_ratio * b)
     n_views = len(batch.views)
 
-    pseudo_rows = [np.empty((n_pseudo, v.shape[1])) for v in batch.views]
+    # draws stay per sample to keep the stream order; the mixing is one step
+    others = {g: np.flatnonzero(labels != g) for g in classes}
+    first = np.empty(n_pseudo, dtype=np.intp)
+    second = np.empty(n_pseudo, dtype=np.intp)
+    zetas = np.empty((n_pseudo, n_views))
     for k in range(n_pseudo):
-        i = int(rng.integers(b))
-        others = np.flatnonzero(labels != labels[i])
-        j = int(others[rng.integers(others.size)])
+        first[k] = rng.integers(b)
+        pool = others[labels[first[k]].item()]
+        second[k] = pool[rng.integers(pool.size)]
         if config.per_view_zeta:
-            zetas = [sample_beta(config.omega, rng) for _ in range(n_views)]
+            zetas[k] = [sample_beta(config.omega, rng) for _ in range(n_views)]
         else:
-            zetas = [sample_beta(config.omega, rng)] * n_views
-        for v, zeta in enumerate(zetas):
-            pseudo_rows[v][k] = zeta * batch.views[v][i] + (1.0 - zeta) * batch.views[v][j]
+            zetas[k] = sample_beta(config.omega, rng)
+    pseudo_rows = [
+        zeta[:, None] * x[first] + (1.0 - zeta[:, None]) * x[second]
+        for zeta, x in zip(zetas.T, batch.views)
+    ]
 
     return Batch(
         views=[np.vstack([v, rows]) for v, rows in zip(batch.views, pseudo_rows)],

@@ -195,6 +195,10 @@ def fusion_weights(z_views: list[tc.DiffNode], labels) -> tc.DiffNode:
     Per view: class centroids of the code rows, the minimum pairwise
     centroid distance d_v (clamped at 1e-8), then
     w = softmax(-(1/d_v) / sum_u (1/d_u)).
+
+    The minimum pair is found in numpy; only that pair's distance is put
+    on the tape, as no other pair can reach the loss. On a tie the first
+    pair in (i, j) order wins and gives the subgradient.
     """
     labels = np.asarray(labels, dtype=np.int64)
     groups = np.unique(labels)
@@ -205,17 +209,15 @@ def fusion_weights(z_views: list[tc.DiffNode], labels) -> tc.DiffNode:
         rows = labels == g
         averaging[gi, rows] = 1.0 / rows.sum()
     avg_node = tc.constant(averaging)
+    first, second = np.triu_indices(groups.size, k=1)
 
     min_dists = []
     for z in z_views:
         centroids = tc.matmul(avg_node, z)
-        best = None
-        for i in range(groups.size):
-            for j in range(i + 1, groups.size):
-                diff = tc.sub(tc.take_rows(centroids, [i]), tc.take_rows(centroids, [j]))
-                dsq = tc.frobenius_sq(diff)
-                if best is None or dsq.value[0, 0] < best.value[0, 0]:
-                    best = dsq
+        diffs = centroids.value[first] - centroids.value[second]
+        k = int(np.argmin(np.sum(diffs * diffs, axis=1)))
+        diff = tc.sub(tc.take_rows(centroids, [first[k]]), tc.take_rows(centroids, [second[k]]))
+        best = tc.frobenius_sq(diff)
         min_dists.append(tc.sqrt(tc.clamp_min(best, MIN_CENTROID_DISTANCE**2)))
 
     dvec = tc.hstack(min_dists)

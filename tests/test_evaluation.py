@@ -221,6 +221,10 @@ class TestScalingBenchmark:
         assert b.seconds >= 0.8 * a.seconds
 
     def test_doubling_layers_at_most_doubles_ish(self):
-        one = scaling_benchmark(n_grid=(1024,), num_layers=1, repeats=5)["rows"][0].seconds
-        two = scaling_benchmark(n_grid=(1024,), num_layers=2, repeats=5)["rows"][0].seconds
-        assert two / one <= 2.6
+        # alternate the two depths so that machine drift hits both alike
+        times = {1: [], 2: []}
+        for _ in range(5):
+            for layers in times:
+                out = scaling_benchmark(n_grid=(1024,), num_layers=layers, repeats=5)
+                times[layers].append(out["rows"][0].seconds)
+        assert min(times[2]) / min(times[1]) <= 2.6

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -32,6 +34,25 @@ def two_class_batch():
         labels=[0, 1],
         is_pseudo=[False, False],
     )
+
+
+def per_row_pseudo(batch, config, rng):
+    """Reference: mixes the pseudo rows one at a time, in the draw order."""
+    labels = batch.labels
+    n_pseudo = math.ceil(config.pseudo_ratio * batch.size)
+    n_views = len(batch.views)
+    pseudo_rows = [np.empty((n_pseudo, v.shape[1])) for v in batch.views]
+    for k in range(n_pseudo):
+        i = int(rng.integers(batch.size))
+        others = np.flatnonzero(labels != labels[i])
+        j = int(others[rng.integers(others.size)])
+        if config.per_view_zeta:
+            zetas = [sample_beta(config.omega, rng) for _ in range(n_views)]
+        else:
+            zetas = [sample_beta(config.omega, rng)] * n_views
+        for v, zeta in enumerate(zetas):
+            pseudo_rows[v][k] = zeta * batch.views[v][i] + (1.0 - zeta) * batch.views[v][j]
+    return pseudo_rows
 
 
 class TestSampleBeta:
@@ -119,6 +140,25 @@ class TestGeneratePseudo:
         out = generate_pseudo(batch, cfg, stub)
         assert np.array_equal(out.views[0][-1], batch.views[0][0])  # zeta = 1
         assert out.views[1][-1, 0] == pytest.approx(2.0)  # zeta = 0.5 midpoint
+
+    @pytest.mark.parametrize("per_view_zeta", [False, True])
+    @pytest.mark.parametrize("ratio", [1.0, 0.3])
+    def test_matches_per_row_reference_bitwise(self, per_view_zeta, ratio):
+        # class-unbalanced batch: 1, 9, 4 and 16 rows, three views
+        data = np.random.default_rng(7)
+        labels = data.permutation(np.repeat([0, 1, 2, 3], [1, 9, 4, 16]))
+        views = [data.normal(size=(30, d)) for d in (5, 3, 8)]
+        batch = Batch(views=views, labels=labels, is_pseudo=np.zeros(30, dtype=bool))
+        cfg = MixConfig(
+            omega=0.7, pseudo_ratio=ratio, unknown_label=4, per_view_zeta=per_view_zeta
+        )
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        out = generate_pseudo(batch, cfg, rng)
+        expected = per_row_pseudo(batch, cfg, twin)
+        for v, rows in enumerate(expected):
+            assert np.array_equal(out.views[v][30:], rows)
+            assert np.array_equal(out.views[v][:30], views[v])
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_single_class_batch_rejected(self):
         batch = Batch(

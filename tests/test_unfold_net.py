@@ -7,6 +7,7 @@ import openviewer.tensor_core as tc
 from openviewer import admm_oracle as ao
 from openviewer import synthgen
 from openviewer.unfold_net import (
+    MIN_CENTROID_DISTANCE,
     FusionError,
     StateError,
     cd_forward,
@@ -153,6 +154,103 @@ class TestModules:
                 tc.constant([[cfg.gamma / d_next.l_p[v]]]),
             )
             assert np.max(np.abs(out.value - e_next.e[v])) <= 1e-12
+
+
+def all_pairs_fusion_weights(z_views, labels):
+    """Reference: every centroid pair on the tape, minimum kept by strict <."""
+    labels = np.asarray(labels, dtype=np.int64)
+    groups = np.unique(labels)
+    averaging = np.zeros((groups.size, labels.size))
+    for gi, g in enumerate(groups):
+        rows = labels == g
+        averaging[gi, rows] = 1.0 / rows.sum()
+    avg_node = tc.constant(averaging)
+    min_dists = []
+    for z in z_views:
+        centroids = tc.matmul(avg_node, z)
+        best = None
+        for i in range(groups.size):
+            for j in range(i + 1, groups.size):
+                diff = tc.sub(tc.take_rows(centroids, [i]), tc.take_rows(centroids, [j]))
+                dsq = tc.frobenius_sq(diff)
+                if best is None or dsq.value[0, 0] < best.value[0, 0]:
+                    best = dsq
+        min_dists.append(tc.sqrt(tc.clamp_min(best, MIN_CENTROID_DISTANCE**2)))
+    dvec = tc.hstack(min_dists)
+    inv = tc.reciprocal(dvec)
+    dbar = tc.mul_scalar_node(inv, tc.reciprocal(tc.sum(inv)))
+    return tc.row_softmax(tc.scale(dbar, -1.0))
+
+
+def fusion_value_and_grads(fn, codes, labels, probe):
+    """Weights from `fn` and the gradients of <w, probe> in every code view."""
+    leaves = [tc.leaf(z) for z in codes]
+    w = fn(leaves, labels)
+    tc.backward(tc.sum(tc.mul_elem(w, tc.constant(probe))))
+    return w.value, [leaf.grad for leaf in leaves]
+
+
+def _codes_with_centroids(centroids, rows_per_class, rng):
+    """Rows scattered around the given class centroids. With power-of-two
+    row counts and integer offsets every centroid is computed exactly."""
+    labels, rows = [], []
+    for g, (c, n) in enumerate(zip(centroids, rows_per_class)):
+        offsets = rng.integers(-3, 4, size=(n, len(c))).astype(float)
+        offsets -= offsets.mean(axis=0)
+        rows.append(np.asarray(c, dtype=float) + offsets)
+        labels += [g] * n
+    return np.vstack(rows), np.array(labels)
+
+
+class TestFusionMinimumPair:
+    def _assert_matches_reference(self, codes, labels, seed=0):
+        probe = np.random.default_rng(seed).normal(size=(1, len(codes)))
+        w, grads = fusion_value_and_grads(fusion_weights, codes, labels, probe)
+        w_ref, grads_ref = fusion_value_and_grads(all_pairs_fusion_weights, codes, labels, probe)
+        assert np.array_equal(w, w_ref)
+        for g, g_ref in zip(grads, grads_ref):
+            assert np.array_equal(g, g_ref)
+        return grads
+
+    @pytest.mark.parametrize("cols", [3, 5, 12])
+    def test_random_codes_bitwise(self, cols):
+        rng = np.random.default_rng(cols)
+        for _ in range(10):
+            labels = rng.integers(0, 6, size=40)
+            codes = [rng.normal(size=(40, cols)) for _ in range(3)]
+            self._assert_matches_reference(codes, labels, seed=cols)
+
+    def test_exact_tie_first_pair_wins(self):
+        # 1-D centroids 0, 3, 4, 5: pairs (1, 2) and (2, 3) tie at distance 1
+        rng = np.random.default_rng(20)
+        z, labels = _codes_with_centroids([[0.0], [3.0], [4.0], [5.0]], [4, 2, 4, 2], rng)
+        assert [z[labels == g].mean() for g in range(4)] == [0.0, 3.0, 4.0, 5.0]
+        other = rng.normal(size=z.shape)
+        grads = self._assert_matches_reference([z, other], labels)
+        # the subgradient comes from pair (1, 2) only: classes 0 and 3 get none
+        assert np.any(grads[0][labels == 1] != 0.0)
+        assert np.any(grads[0][labels == 2] != 0.0)
+        assert np.all(grads[0][(labels == 0) | (labels == 3)] == 0.0)
+
+    def test_coincident_centroids_clamped(self):
+        rng = np.random.default_rng(21)
+        z, labels = _codes_with_centroids([[1.0, 2.0], [1.0, 2.0], [4.0, 0.0]], [2, 4, 2], rng)
+        other = rng.normal(size=z.shape)
+        grads = self._assert_matches_reference([z, other], labels)
+        # distance 0 sits below the clamp floor, so no gradient reaches the view
+        assert np.all(grads[0] == 0.0)
+
+    def test_node_count_does_not_grow_with_groups(self):
+        rng = np.random.default_rng(22)
+
+        def nodes_created(groups):
+            labels = np.arange(48) % groups
+            codes = [tc.constant(rng.normal(size=(48, 4))) for _ in range(2)]
+            start = next(tc._NODE_COUNTER)
+            fusion_weights(codes, labels)
+            return next(tc._NODE_COUNTER) - start
+
+        assert nodes_created(3) == nodes_created(12)
 
 
 class TestFusionWeights:
