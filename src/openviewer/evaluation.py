@@ -75,7 +75,7 @@ def score_with_codes(
     """Inference-mode forward over the test rows (or `indices`): one score
     per sample, plus the fused codes. Predicted classes are dataset class
     ids; the confidence is the max softmax probability (or a squashed
-    code norm)."""
+    code norm). Raises `tc.NumericError` if any fused code is not finite."""
     cfg = config or EvalConfig()
     cfg.validate()
     if dataset.view_dims != params.view_dims:
@@ -96,7 +96,11 @@ def score_with_codes(
         labels=work.labels[rows],
         is_pseudo=np.zeros(rows.size, dtype=bool),
     )
-    fused = forward(batch, params, inference=True).z_fused.value
+    with np.errstate(over="ignore", invalid="ignore"):
+        fused = forward(batch, params, inference=True).z_fused.value
+    bad = int(np.count_nonzero(~np.isfinite(fused).all(axis=1)))
+    if bad:
+        raise tc.NumericError(f"fused codes are not finite in {bad} of {rows.size} rows")
     classes, confidence = predict(fused)
     if cfg.score == "norm":
         norms = np.linalg.norm(fused, axis=1)

@@ -65,7 +65,7 @@ class DiffNode:
         value = np.ascontiguousarray(value, dtype=np.float64)
         value.setflags(write=False)
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad = np.zeros(value.shape)
         self._parents = parents
         self._backward = backward
         self._order = next(_NODE_COUNTER)

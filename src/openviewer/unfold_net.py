@@ -2,12 +2,18 @@
 
 Each layer applies, per view: a redundancy-filtering shrinkage update of
 the code Z (RF), a dictionary refresh (CD), and a group-sparse noise
-update (DN); the per-view codes are then fused with weights derived from
-inter-class centroid separation (CW fusion). With the analytic parameter
-choices R = I - D D^T / L, U = I / L, M = (Z^T Z + beta I)^{-1},
-theta = alpha / L, rho = gamma / L a layer reproduces one iteration of the
-non-learned alternating solver; during training all of R, U, M, theta,
-rho, and the initial dictionaries are free parameters.
+update (DN). The views are fused once, after the last layer, with
+weights derived from inter-class centroid separation (CW fusion). With
+the analytic parameter choices R = I - D D^T / L, U = I / L,
+M = (Z^T Z + beta I)^{-1}, theta = alpha / L, rho = gamma / L a layer
+reproduces one iteration of the non-learned alternating solver; during
+training all of R, U, M, theta, rho, and the initial dictionaries are
+free parameters.
+
+Only what reaches the fused code gets a gradient. Layer 0 starts from
+Z = 0 and skips Z R, so `r/0/*` always gets a zero gradient; the last
+layer's CD and DN outputs only feed the trace, so `m/{L-1}/*` and
+`rho/{L-1}/*` get a zero gradient in training.
 
 Ablation modes: "no_cd_dn" freezes the dictionaries and drops the noise
 path entirely; "no_dn" keeps the dictionary refresh but clamps the noise
@@ -96,11 +102,11 @@ class UnfoldParams:
 
 @dataclass
 class LayerState:
+    """The per-view code z, dictionary d and noise e after one layer."""
+
     z: list[np.ndarray]
     d: list[np.ndarray]
     e: list[np.ndarray]
-    z_fused: np.ndarray
-    weights: np.ndarray
 
 
 @dataclass
@@ -172,9 +178,12 @@ def init_params(
 
 
 def rf_forward(z_prev, x, e_prev, d_prev, r, u, theta) -> tc.DiffNode:
-    """Code update: S_theta(Z R + (X - E) D^T U). `e_prev=None` means zero."""
+    """Code update: S_theta(Z R + (X - E) D^T U). `z_prev=None` and
+    `e_prev=None` mean zero; a zero code skips Z R and the sum."""
     resid = x if e_prev is None else tc.sub(x, e_prev)
-    pre = tc.add(tc.matmul(z_prev, r), tc.matmul(tc.matmul(resid, tc.transpose(d_prev)), u))
+    pre = tc.matmul(tc.matmul(resid, tc.transpose(d_prev)), u)
+    if z_prev is not None:
+        pre = tc.add(tc.matmul(z_prev, r), pre)
     return tc.soft_threshold(pre, theta)
 
 
@@ -246,11 +255,15 @@ def forward(
     inference: bool = False,
     num_layers: int | None = None,
 ) -> ForwardResult:
-    """Run the unrolled layers and fuse the per-view codes.
+    """Run the unrolled layers, then fuse the last layer's per-view codes.
 
-    Weight source: the snapshot in inference mode (required), label-derived
-    weights when labels are supplied (falling back to uniform if fusion is
-    infeasible), uniform otherwise. State starts at Z = 0, E = 0, D = D_init.
+    State starts at Z = 0, E = 0, D = D_init; layer 0 skips Z R, so
+    `r/0/*` always gets a zero gradient. The views are fused once, after
+    the last layer; that layer's CD and DN outputs only feed the trace,
+    so `m/{L-1}/*` and `rho/{L-1}/*` get a zero gradient in training.
+    Weight source: the snapshot in inference mode (required),
+    label-derived weights when labels are supplied (falling back to
+    uniform if fusion is infeasible), uniform otherwise.
     """
     views = batch.views if hasattr(batch, "views") else list(batch)
     if len(views) != params.n_views:
@@ -261,19 +274,15 @@ def forward(
     if inference and params.fusion_weights_snapshot is None:
         raise StateError("inference requires a fusion weight snapshot; train first")
 
-    n = views[0].shape[0]
     nodes = _bind_params(params)
-    x = [tc.constant(v) for v in views]
-    z = [tc.constant(np.zeros((n, params.num_classes))) for _ in range(params.n_views)]
-    e: list[tc.DiffNode | None] = [None] * params.n_views
-    key = params.key
-    d = [nodes[key("d_init", v)] for v in range(params.n_views)]
-
     v_count = params.n_views
-    uniform = np.full((1, v_count), 1.0 / v_count)
+    x = [tc.constant(v) for v in views]
+    z: list[tc.DiffNode | None] = [None] * v_count
+    e: list[tc.DiffNode | None] = [None] * v_count
+    key = params.key
+    d = [nodes[key("d_init", v)] for v in range(v_count)]
+
     trace: list[LayerState] = []
-    z_fused = None
-    weights_value = None
     for l in range(layers):
         for v in range(v_count):
             z[v] = rf_forward(
@@ -284,35 +293,32 @@ def forward(
                 d[v] = cd_forward(z[v], x[v], e[v], nodes[key("m", l, v)])
             if params.ablation == "full":
                 e[v] = dn_forward(x[v], z[v], d[v], nodes[key("rho", l, v)], params.group_axis)
-
-        if inference:
-            w = tc.constant(params.fusion_weights_snapshot.reshape(1, -1))
-        elif labels_for_fusion is not None:
-            try:
-                w = fusion_weights(z, labels_for_fusion)
-            except FusionError as exc:
-                logger.warning("fusion fallback to uniform weights: %s", exc)
-                w = tc.constant(uniform)
-        else:
-            w = tc.constant(uniform)
-
-        w_cols = tc.transpose(w)
-        z_fused = tc.mul_scalar_node(z[0], tc.take_rows(w_cols, [0]))
-        for v in range(1, v_count):
-            z_fused = tc.add(z_fused, tc.mul_scalar_node(z[v], tc.take_rows(w_cols, [v])))
-        weights_value = w.value.ravel().copy()
-
         trace.append(
             LayerState(
                 z=[zv.value for zv in z],
                 d=[dv.value for dv in d],
                 e=[ev.value if ev is not None else np.zeros_like(xv.value) for ev, xv in zip(e, x)],
-                z_fused=z_fused.value,
-                weights=weights_value,
             )
         )
 
-    return ForwardResult(z_fused=z_fused, param_nodes=nodes, trace=trace, weights=weights_value)
+    uniform = np.full((1, v_count), 1.0 / v_count)
+    if inference:
+        w = tc.constant(params.fusion_weights_snapshot.reshape(1, -1))
+    elif labels_for_fusion is not None:
+        try:
+            w = fusion_weights(z, labels_for_fusion)
+        except FusionError as exc:
+            logger.warning("fusion fallback to uniform weights: %s", exc)
+            w = tc.constant(uniform)
+    else:
+        w = tc.constant(uniform)
+
+    w_cols = tc.transpose(w)
+    z_fused = tc.mul_scalar_node(z[0], tc.take_rows(w_cols, [0]))
+    for v in range(1, v_count):
+        z_fused = tc.add(z_fused, tc.mul_scalar_node(z[v], tc.take_rows(w_cols, [v])))
+    weights = w.value.ravel().copy()
+    return ForwardResult(z_fused=z_fused, param_nodes=nodes, trace=trace, weights=weights)
 
 
 def predict(z_fused: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

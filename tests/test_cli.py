@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from openviewer import CHECKPOINT_SCHEMA_VERSION
-from openviewer.cli import main, version_info
+from openviewer.cli import EXIT_RUNTIME, main, version_info
 
 
 def write_experiment_config(path, epochs=3):
@@ -168,6 +168,29 @@ class TestPipeline:
         fused = np.loadtxt(ev_dir / "fused.csv", delimiter=",")
         sim = np.loadtxt(ev_dir / "similarity.csv", delimiter=",")
         assert sim.shape == (fused.shape[0], fused.shape[0])
+
+    def test_eval_of_non_finite_codes_is_runtime_error(self, workspace, caplog):
+        tmp_path, cfg, data_dir = workspace
+        run = tmp_path / "run"
+        assert main([
+            "train", "--manifest", str(data_dir / "manifest.json"),
+            "--split", str(tmp_path / "split.json"),
+            "--config", str(cfg), "--out", str(run), "--quiet",
+        ]) == 0
+        checkpoint = run / "checkpoint.json"
+        payload = json.loads(checkpoint.read_text())
+        u = np.array(payload["params"]["u"])
+        payload["params"]["u"] = (u * 1e300).tolist()
+        checkpoint.write_text(json.dumps(payload))
+        ev_dir = tmp_path / "eval"
+        assert main([
+            "eval", "--checkpoint", str(checkpoint),
+            "--manifest", str(data_dir / "manifest.json"),
+            "--split", str(tmp_path / "split.json"),
+            "--config", str(cfg), "--out", str(ev_dir), "--quiet",
+        ]) == EXIT_RUNTIME
+        assert "NumericError" in caplog.text
+        assert not (ev_dir / "summary.json").exists()
 
     def test_oracle_outputs(self, workspace):
         tmp_path, cfg, data_dir = workspace

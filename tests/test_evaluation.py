@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import openviewer.tensor_core as tc
 from openviewer import synthgen
 from openviewer.evaluation import (
     EvalConfig,
@@ -15,9 +16,9 @@ from openviewer.evaluation import (
 )
 from openviewer.dataset import openness_split
 from openviewer.losses import CenterState
-from openviewer.unfold_net import init_params
+from openviewer.unfold_net import forward, init_params
 
-from helpers import small_spec
+from helpers import batch_from_dataset, small_spec
 
 
 def pred(conf, truth_unknown, correct=True, idx=0):
@@ -172,6 +173,23 @@ class TestScoreTestSet:
         dataset, split, params, centers = self._setup()
         params.view_dims = [d + 1 for d in params.view_dims]
         with pytest.raises(MetricError):
+            score_test_set(params, centers, dataset, split, normalize=False)
+
+    def test_non_finite_codes_raise(self):
+        dataset, split, _, centers = self._setup()
+        params = init_params(dataset.view_dims, len(split.known_classes), seed=0,
+                             num_layers=2)
+        params.fusion_weights_snapshot = np.full(dataset.n_views, 1.0 / dataset.n_views)
+        for row in params.u:
+            for v, u in enumerate(row):
+                row[v] = u * 1e300
+        batch = batch_from_dataset(dataset, split.test_idx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fused = forward(batch, params, inference=True).z_fused.value
+        bad = int(np.count_nonzero(~np.isfinite(fused).all(axis=1)))
+        assert bad > 0
+        message = f"not finite in {bad} of {len(split.test_idx)} rows"
+        with pytest.raises(tc.NumericError, match=message):
             score_test_set(params, centers, dataset, split, normalize=False)
 
     def test_norm_scoring_mode(self):

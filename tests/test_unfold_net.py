@@ -5,7 +5,7 @@ import pytest
 
 import openviewer.tensor_core as tc
 from openviewer import admm_oracle as ao
-from openviewer import synthgen
+from openviewer import synthgen, unfold_net
 from openviewer.unfold_net import (
     MIN_CENTROID_DISTANCE,
     FusionError,
@@ -416,6 +416,62 @@ class TestForward:
             assert not np.any(res.trace[-1].e[0])
             if mode == "no_cd_dn":
                 assert np.array_equal(res.trace[-1].d[0], p.d_init[0])
+
+
+class TestGraphReach:
+    """A forward builds only what can reach its output."""
+
+    def test_rf_without_code_matches_zero_code_bitwise(self):
+        rng = np.random.default_rng(16)
+        inputs = [rng.normal(size=(5, 6)), 0.3 * rng.normal(size=(5, 6)),
+                  rng.normal(size=(3, 6)), rng.normal(size=(3, 3)), [[0.4]]]
+        r = rng.normal(size=(3, 3))
+        results = []
+        for z_prev in (None, tc.constant(np.zeros((5, 3)))):
+            x, e, d, u, theta = (tc.leaf(a) for a in inputs)
+            out = rf_forward(z_prev, x, e, d, tc.leaf(r), u, theta)
+            tc.backward(tc.frobenius_sq(out))
+            results.append((out.value, [n.grad for n in (x, e, d, u, theta)]))
+        (skip, skip_grads), (zero, zero_grads) = results
+        assert np.count_nonzero(skip) and np.count_nonzero(skip_grads[-1])
+        assert np.array_equal(skip, zero)
+        for a, b in zip(skip_grads, zero_grads):
+            assert np.array_equal(a, b)
+
+    def _labelled(self, layers):
+        dataset, _ = synthgen.generate(small_spec())
+        batch = batch_from_dataset(dataset, range(0, 40, 3))
+        params = init_params(dataset.view_dims, dataset.class_count, seed=3,
+                             num_layers=layers, expected_rows=14)
+        return batch, params
+
+    @pytest.mark.parametrize("layers", [1, 2, 4])
+    def test_labelled_forward_fuses_once(self, layers, monkeypatch):
+        calls = []
+        real = unfold_net.fusion_weights
+
+        def counting(z_views, labels):
+            calls.append(len(z_views))
+            return real(z_views, labels)
+
+        monkeypatch.setattr(unfold_net, "fusion_weights", counting)
+        batch, params = self._labelled(layers)
+        forward(batch, params, labels_for_fusion=batch.labels)
+        assert calls == [2]
+
+    def test_fusion_nodes_do_not_grow_with_layers(self):
+        def nodes_made(batch, params, labels):
+            start = next(tc._NODE_COUNTER)
+            forward(batch, params, labels_for_fusion=labels)
+            return next(tc._NODE_COUNTER) - start - 1
+
+        extra = []
+        for layers in (1, 2, 4):
+            batch, params = self._labelled(layers)
+            extra.append(nodes_made(batch, params, batch.labels)
+                         - nodes_made(batch, params, None))
+        assert extra[0] > 0
+        assert extra == [extra[0]] * 3
 
 
 class TestPredict:
