@@ -97,7 +97,7 @@ def score_with_codes(
         is_pseudo=np.zeros(rows.size, dtype=bool),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        fused = forward(batch, params, inference=True).z_fused.value
+        fused = forward(batch, params, inference=True).z_fused
     bad = int(np.count_nonzero(~np.isfinite(fused).all(axis=1)))
     if bad:
         raise tc.NumericError(f"fused codes are not finite in {bad} of {rows.size} rows")
@@ -182,18 +182,16 @@ def contraction_diagnostic(
     norm_r = float(np.sqrt(power_iteration_norm(r.T @ r)))
     c = params.num_classes
     n = 16
-    x = tc.constant(rng.normal(size=(n, params.view_dims[view])))
-    d = tc.constant(params.d_init[view])
-    u = tc.constant(params.u[0][view])
-    theta = tc.constant([[params.theta[0][view]]])
-    r_node = tc.constant(r)
+    x = rng.normal(size=(n, params.view_dims[view]))
+    d, u, r = (tc.matrix(a) for a in (params.d_init[view], params.u[0][view], r))
+    theta = tc.matrix(params.theta[0][view])
 
     max_ratio = 0.0
     for _ in range(trials):
         za = rng.normal(size=(n, c)) * rng.uniform(0.1, 5.0)
         zb = rng.normal(size=(n, c)) * rng.uniform(0.1, 5.0)
-        fa = rf_forward(tc.constant(za), x, None, d, r_node, u, theta).value
-        fb = rf_forward(tc.constant(zb), x, None, d, r_node, u, theta).value
+        fa = rf_forward(za, x, None, d, r, u, theta)
+        fb = rf_forward(zb, x, None, d, r, u, theta)
         denom = np.linalg.norm(za - zb)
         if denom == 0.0:
             continue

@@ -53,40 +53,106 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return np.eye(num_classes)[labels]
 
 
-def known_loss(z_known: tc.DiffNode, labels, xi: float) -> tc.DiffNode:
-    """Mean cross-entropy plus the summed squared norm-margin hinge."""
-    n, c = z_known.value.shape
+# Each term is a private kernel on a plain array: it returns the 1x1 value
+# and a VJP that lists the term's contributions to the gradient of its
+# input, in the order a fine-grained graph (`tc.row_log_softmax`,
+# `tc.row_l2_norms`, `tc.relu`, ...) would add them. `known_loss`,
+# `unknown_loss` and `center_loss` wrap one kernel each as a tape op;
+# `total_loss` builds a single op from all three.
+
+
+def _log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-softmax and the row softmax."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    expv = np.exp(shifted)
+    denom = expv.sum(axis=1, keepdims=True)
+    return shifted - np.log(denom), expv / denom
+
+
+def _known_term(z: np.ndarray, labels, xi: float):
+    n, c = z.shape
     if n < 1:
         raise LossError("known_loss needs at least one sample")
-    onehot = tc.constant(_one_hot(labels, c))
-    log_p = tc.row_log_softmax(z_known)
-    ce = tc.scale(tc.sum(tc.mul_elem(onehot, log_p)), -1.0 / n)
-    hinge = tc.relu(tc.add_scalar(tc.scale(tc.row_l2_norms(z_known), -1.0), xi))
-    margin = tc.sum(tc.mul_elem(hinge, hinge))
-    return tc.add(ce, margin)
+    onehot = _one_hot(labels, c)
+    log_p, p = _log_softmax(z)
+    ce = np.array([[(onehot * log_p).sum()]]) * (-1.0 / n)
+    norms = np.sqrt((z * z).sum(axis=1, keepdims=True))
+    shortfall = norms * -1.0 + float(xi)
+    hinge = np.maximum(shortfall, 0.0)
+    margin = np.array([[(hinge * hinge).sum()]])
+
+    def vjp(g):
+        g_sq = np.full_like(hinge, g[0, 0])
+        g_hinge = g_sq * hinge
+        g_hinge = g_hinge + g_sq * hinge  # both factors of hinge * hinge
+        g_norms = (g_hinge * (shortfall > 0.0)) * -1.0
+        nonzero = norms > 0.0
+        safe = np.where(nonzero, norms, 1.0)
+        norm_part = np.where(nonzero, g_norms / safe, 0.0) * z
+        g_log_p = np.full_like(log_p, (g * (-1.0 / n))[0, 0]) * onehot
+        return [norm_part, g_log_p - p * g_log_p.sum(axis=1, keepdims=True)]
+
+    return ce + margin, vjp
 
 
-def unknown_loss(z_pseudo: tc.DiffNode) -> tc.DiffNode:
-    """Confidence-flattening term plus the summed squared row norms."""
-    n, c = z_pseudo.value.shape
+def _unknown_term(z: np.ndarray):
+    n, c = z.shape
     if n < 1:
         raise LossError("unknown_loss needs at least one sample")
-    log_p = tc.row_log_softmax(z_pseudo)
-    flat = tc.scale(tc.sum(log_p), -1.0 / c)
-    return tc.add(flat, tc.frobenius_sq(z_pseudo))
+    log_p, p = _log_softmax(z)
+    flat = np.array([[log_p.sum()]]) * (-1.0 / c)
+
+    def vjp(g):
+        g_log_p = np.full_like(log_p, (g * (-1.0 / c))[0, 0])
+        return [2.0 * g[0, 0] * z, g_log_p - p * g_log_p.sum(axis=1, keepdims=True)]
+
+    return flat + np.array([[(z * z).sum()]]), vjp
 
 
-def center_loss(z_known: tc.DiffNode, labels, centers: np.ndarray) -> tc.DiffNode:
-    """Half the summed squared distance to each row's class center.
-
-    Centers enter as constants; they are updated by `update_centers`, not
-    by gradient descent.
-    """
+def _center_term(z: np.ndarray, labels, centers: np.ndarray):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= centers.shape[0]):
         raise LossError(f"label out of range [0, {centers.shape[0]})")
-    gathered = tc.constant(centers[labels])
-    return tc.scale(tc.frobenius_sq(tc.sub(z_known, gathered)), 0.5)
+    gathered = centers[labels]
+    if not np.isfinite(gathered).all():
+        raise LossError("centers contain non-finite entries")
+    tc.check_same_shape(z, gathered, "center_loss")
+    diff = z - gathered
+
+    def vjp(g):
+        return [2.0 * (g * 0.5)[0, 0] * diff]
+
+    return np.array([[(diff * diff).sum()]]) * 0.5, vjp
+
+
+def _term_op(term, z, *args):
+    """One loss term on `z` as a tape op (a plain array for a plain `z`)."""
+
+    def kernel(z_value):
+        value, vjp = term(z_value, *args)
+        return value, lambda g: ((0, part) for part in vjp(g))
+
+    return tc.custom_op(kernel, z)
+
+
+def known_loss(z_known, labels, xi: float):
+    """Mean cross-entropy plus the summed squared norm-margin hinge."""
+    return _term_op(_known_term, z_known, labels, xi)
+
+
+def unknown_loss(z_pseudo):
+    """Confidence-flattening term plus the summed squared row norms."""
+    return _term_op(_unknown_term, z_pseudo)
+
+
+def center_loss(z_known, labels, centers: np.ndarray):
+    """Half the summed squared distance to each row's class center.
+
+    Centers enter as constants; they are updated by `update_centers`, not
+    by gradient descent. Non-finite centers of the batch's classes raise
+    `LossError`.
+    """
+    return _term_op(_center_term, z_known, labels, centers)
 
 
 def update_centers(
@@ -108,13 +174,14 @@ def update_centers(
 
 
 def total_loss(
-    z_fused: tc.DiffNode,
+    z_fused,
     labels,
     is_pseudo,
     centers: np.ndarray,
     config: LossConfig,
 ) -> tuple[tc.DiffNode, dict[str, float]]:
-    """Weighted sum of the three losses; returns the node and scalar parts.
+    """Weighted sum of the three losses as one tape op; returns the node
+    and the scalar parts.
 
     Labels of pseudo rows are ignored (they carry the synthetic unknown
     label); known rows must exist. Calling tensor_core.backward on the
@@ -127,21 +194,41 @@ def total_loss(
     pseudo_idx = np.flatnonzero(is_pseudo)
     if known_idx.size == 0:
         raise LossError("total_loss needs at least one known sample in the batch")
+    lambda1, lambda2 = float(config.lambda1), float(config.lambda2)
+    parts = {"known": 0.0, "unknown": 0.0, "center": 0.0}
 
-    z_known = tc.take_rows(z_fused, known_idx)
-    total = known_loss(z_known, labels[known_idx], config.xi)
-    parts = {"known": total.item(), "unknown": 0.0, "center": 0.0}
+    def kernel(z):
+        z_known = z[known_idx]
+        total, known_vjp = _known_term(z_known, labels[known_idx], config.xi)
+        parts["known"] = float(total[0, 0])
+        unknown_vjp = center_vjp = None
+        if lambda1 > 0 and pseudo_idx.size:
+            unk, unknown_vjp = _unknown_term(z[pseudo_idx])
+            parts["unknown"] = float(unk[0, 0])
+            total = total + unk * lambda1
+        if lambda2 > 0:
+            cen, center_vjp = _center_term(z_known, labels[known_idx], centers)
+            parts["center"] = float(cen[0, 0])
+            total = total + cen * lambda2
+        parts["total"] = float(total[0, 0])
 
-    if config.lambda1 > 0 and pseudo_idx.size:
-        unk = unknown_loss(tc.take_rows(z_fused, pseudo_idx))
-        parts["unknown"] = unk.item()
-        total = tc.add(total, tc.scale(unk, config.lambda1))
-    if config.lambda2 > 0:
-        cen = center_loss(z_known, labels[known_idx], centers)
-        parts["center"] = cen.item()
-        total = tc.add(total, tc.scale(cen, config.lambda2))
-    parts["total"] = total.item()
-    return total, parts
+        def vjp(g):
+            # terms in reverse creation order: center, unknown, known
+            g_z = np.zeros(z.shape)
+            g_known = None
+            if center_vjp is not None:
+                (g_known,) = center_vjp(g * lambda2)
+            if unknown_vjp is not None:
+                norm_part, soft_part = unknown_vjp(g * lambda1)
+                g_z[pseudo_idx] = norm_part + soft_part
+            for part in known_vjp(g):
+                g_known = part if g_known is None else g_known + part
+            g_z[known_idx] = g_known
+            yield 0, g_z
+
+        return total, vjp
+
+    return tc.custom_op(kernel, z_fused), parts
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +251,6 @@ class BatchStats:
     min_class_count: int
 
 
-def _row_softmax_values(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    expv = np.exp(shifted)
-    return expv / expv.sum(axis=1, keepdims=True)
-
-
 def batch_stats(z_values: np.ndarray, labels, is_pseudo, centers: np.ndarray) -> BatchStats:
     labels = np.asarray(labels, dtype=np.int64)
     is_pseudo = np.asarray(is_pseudo, dtype=bool)
@@ -178,8 +259,8 @@ def batch_stats(z_values: np.ndarray, labels, is_pseudo, centers: np.ndarray) ->
     known_labels = labels[~is_pseudo]
     counts = np.bincount(known_labels, minlength=centers.shape[0])
     present = counts[counts > 0]
-    probs_known = _row_softmax_values(known) if known.size else np.zeros((0, z_values.shape[1]))
-    probs_pseudo = _row_softmax_values(pseudo) if pseudo.size else np.zeros((0, z_values.shape[1]))
+    probs_known = _log_softmax(known)[1] if known.size else np.zeros((0, z_values.shape[1]))
+    probs_pseudo = _log_softmax(pseudo)[1] if pseudo.size else np.zeros((0, z_values.shape[1]))
 
     def max_row_norm(mat):
         if mat.shape[0] == 0:

@@ -1,10 +1,16 @@
 """Dense float64 matrices with a minimal reverse-mode differentiation tape.
 
-The op set is deliberately closed: it contains exactly what the unfolded
-network and the open-set losses need (matrix products, elementwise
-arithmetic, the elementwise and group shrinkage operators, softmax / log /
-norm reductions) plus the index plumbing the fusion step requires
-(transpose, row gather, horizontal stack).
+The network's modules and loss terms each enter the tape as one op through
+`custom_op`: a plain numpy kernel computes the value and a hand-written
+vector-Jacobian product (VJP) sends the gradient back to the op's inputs,
+in the style of PyTorch's `autograd.Function` or JAX's `custom_vjp`. The
+same kernel called on plain arrays records nothing, which gives the
+tape-free inference path.
+
+The fine-grained op set below (matrix products, elementwise arithmetic,
+the elementwise and group shrinkage operators, softmax / log / norm
+reductions, transpose, row gather, horizontal stack) is closed; it builds
+test references and small graphs on top of the module ops.
 
 Values are 2-D row-major float64 arrays, frozen after construction;
 scalars are 1x1 matrices. A fresh graph is built on every forward pass,
@@ -51,7 +57,7 @@ def matrix(values, rows: int | None = None, cols: int | None = None) -> Matrix:
         raise ShapeError(f"expected at most 2 dimensions, got shape {arr.shape}")
     if rows is not None and cols is not None and arr.shape != (rows, cols):
         raise ShapeError(f"expected shape ({rows}, {cols}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError("matrix contains non-finite entries")
     return np.ascontiguousarray(arr)
 
@@ -110,15 +116,60 @@ def backward(root: DiffNode) -> None:
             node._backward(node.grad)
 
 
-def _check_same_shape(a: DiffNode, b: DiffNode, op: str) -> None:
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"{op}: shape mismatch {a.value.shape} vs {b.value.shape}")
+def value_of(x):
+    """The value of a node; anything else is returned unchanged."""
+    return x.value if isinstance(x, DiffNode) else x
 
 
-def _check_scalar(node: DiffNode, name: str) -> float:
-    if node.value.shape != (1, 1):
-        raise ShapeError(f"{name} must be a 1x1 scalar node, got {node.value.shape}")
-    return float(node.value[0, 0])
+def custom_op(kernel: Callable, *inputs) -> DiffNode | Matrix:
+    """Run `kernel` as one tape op with a hand-written VJP.
+
+    `kernel(*values)` receives the inputs' values (a node's `value`; any
+    other input, such as a plain array, a string or None, as given) and
+    returns `(out, vjp)`. `vjp(g)` yields `(i, contribution)` pairs, and
+    backward adds each to `inputs[i].grad` in the order yielded, so a VJP
+    can repeat a fine-grained graph's accumulation order exactly. Inputs
+    that are not nodes get nothing. With no node among the inputs nothing
+    is recorded and the plain `out` is returned.
+    """
+    values, parents = [], []
+    for x in inputs:
+        if isinstance(x, DiffNode):
+            parents.append(x)
+            x = x.value
+        values.append(x)
+    out, vjp = kernel(*values)
+    if not parents:
+        return out
+    node = DiffNode(out, parents=tuple(parents))
+
+    def _bw(g):
+        for i, contribution in vjp(g):
+            target = inputs[i]
+            if isinstance(target, DiffNode):
+                target.grad += contribution
+
+    node._backward = _bw
+    return node
+
+
+def check_same_shape(a: Matrix, b: Matrix, op: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
+
+
+def check_scalar(a: Matrix, name: str) -> float:
+    """The entry of a 1x1 matrix; ShapeError for any other shape."""
+    if a.shape != (1, 1):
+        raise ShapeError(f"{name} must be 1x1, got {a.shape}")
+    return float(a[0, 0])
+
+
+def dot(a: Matrix, b: Matrix, op: str = "matmul") -> Matrix:
+    """a @ b on plain arrays, with the shape check of `matmul`."""
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"{op}: inner dims differ, {a.shape} @ {b.shape}")
+    return a @ b
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +178,7 @@ def _check_scalar(node: DiffNode, name: str) -> float:
 
 def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
     """Matrix product a @ b."""
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.value.shape} @ {b.value.shape}")
-    out = DiffNode(a.value @ b.value, parents=(a, b))
+    out = DiffNode(dot(a.value, b.value), parents=(a, b))
 
     def _bw(g):
         a.grad += g @ b.value.T
@@ -146,7 +195,7 @@ def transpose(a: DiffNode) -> DiffNode:
 
 
 def add(a: DiffNode, b: DiffNode) -> DiffNode:
-    _check_same_shape(a, b, "add")
+    check_same_shape(a.value, b.value, "add")
     out = DiffNode(a.value + b.value, parents=(a, b))
 
     def _bw(g):
@@ -158,7 +207,7 @@ def add(a: DiffNode, b: DiffNode) -> DiffNode:
 
 
 def sub(a: DiffNode, b: DiffNode) -> DiffNode:
-    _check_same_shape(a, b, "sub")
+    check_same_shape(a.value, b.value, "sub")
     out = DiffNode(a.value - b.value, parents=(a, b))
 
     def _bw(g):
@@ -186,7 +235,7 @@ def add_scalar(a: DiffNode, c: float) -> DiffNode:
 
 def mul_elem(a: DiffNode, b: DiffNode) -> DiffNode:
     """Elementwise (Hadamard) product."""
-    _check_same_shape(a, b, "mul_elem")
+    check_same_shape(a.value, b.value, "mul_elem")
     out = DiffNode(a.value * b.value, parents=(a, b))
 
     def _bw(g):
@@ -199,7 +248,7 @@ def mul_elem(a: DiffNode, b: DiffNode) -> DiffNode:
 
 def mul_scalar_node(a: DiffNode, s: DiffNode) -> DiffNode:
     """Multiply a matrix by a differentiable 1x1 scalar node."""
-    sval = _check_scalar(s, "mul_scalar_node scalar")
+    sval = check_scalar(s.value, "mul_scalar_node scalar")
     out = DiffNode(a.value * sval, parents=(a, s))
 
     def _bw(g):
@@ -265,7 +314,7 @@ def soft_threshold(a: DiffNode, theta: DiffNode) -> DiffNode:
     `theta` is a differentiable non-negative 1x1 node. The subgradient is 0
     on the dead zone boundary |a| == theta.
     """
-    t = _check_scalar(theta, "soft_threshold theta")
+    t = check_scalar(theta.value, "soft_threshold theta")
     if t < 0.0:
         raise DomainError(f"soft_threshold threshold must be >= 0, got {t}")
     absval = np.abs(a.value)
@@ -287,7 +336,7 @@ def group_soft_threshold(a: DiffNode, rho: DiffNode, axis: str = "columns") -> D
     Backward uses the shrinkage Jacobian on active groups and the zero
     subgradient inside (and on) the dead zone.
     """
-    r = _check_scalar(rho, "group_soft_threshold rho")
+    r = check_scalar(rho.value, "group_soft_threshold rho")
     if r < 0.0:
         raise DomainError(f"group_soft_threshold threshold must be >= 0, got {r}")
     if axis not in ("columns", "rows"):

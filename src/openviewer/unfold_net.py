@@ -22,6 +22,7 @@ estimate to zero.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -77,6 +78,7 @@ class UnfoldParams:
         return len(self.view_dims)
 
     @staticmethod
+    @functools.cache
     def key(kind: str, *index: int) -> str:
         """Parameter name `kind/layer/view` (`d_init/view` for dictionaries)."""
         return "/".join((kind, *map(str, index)))
@@ -111,7 +113,9 @@ class LayerState:
 
 @dataclass
 class ForwardResult:
-    z_fused: tc.DiffNode
+    """`z_fused` is a tape node, or a plain array in inference mode."""
+
+    z_fused: tc.DiffNode | np.ndarray
     param_nodes: dict[str, tc.DiffNode]
     trace: list[LayerState] = field(default_factory=list)
     weights: np.ndarray | None = None
@@ -175,64 +179,204 @@ def init_params(
 
 # ---------------------------------------------------------------------------
 # the four modules
+#
+# Each module is one tape op (`tc.custom_op`): a numpy kernel plus a
+# hand-written VJP. The VJPs repeat the float operations, operand layouts
+# and accumulation order of the equivalent fine-grained graph (`tc.sub`,
+# `tc.transpose`, `tc.matmul`, ...), so gradients match it bitwise. Plain
+# arrays in give a plain array out, with nothing recorded.
 
 
-def rf_forward(z_prev, x, e_prev, d_prev, r, u, theta) -> tc.DiffNode:
+def _residual(x, e_prev, op: str):
+    """X - E, or X itself when `e_prev` is None (E = 0)."""
+    if e_prev is None:
+        return x
+    tc.check_same_shape(x, e_prev, op)
+    return x - e_prev
+
+
+def _threshold(value, name: str) -> float:
+    t = tc.check_scalar(value, name)
+    if t < 0.0:
+        raise tc.DomainError(f"{name} must be >= 0, got {t}")
+    return t
+
+
+def rf_forward(z_prev, x, e_prev, d_prev, r, u, theta):
     """Code update: S_theta(Z R + (X - E) D^T U). `z_prev=None` and
     `e_prev=None` mean zero; a zero code skips Z R and the sum."""
-    resid = x if e_prev is None else tc.sub(x, e_prev)
-    pre = tc.matmul(tc.matmul(resid, tc.transpose(d_prev)), u)
+    return tc.custom_op(_rf_kernel, z_prev, x, e_prev, d_prev, r, u, theta)
+
+
+def _rf_kernel(z_prev, x, e_prev, d, r, u, theta):
+    t = _threshold(theta, "rf_forward theta")
+    resid = _residual(x, e_prev, "rf_forward")
+    d_t = np.ascontiguousarray(d.T)
+    p1 = tc.dot(resid, d_t, "rf_forward")
+    pre = tc.dot(p1, u, "rf_forward")
     if z_prev is not None:
-        pre = tc.add(tc.matmul(z_prev, r), pre)
-    return tc.soft_threshold(pre, theta)
+        zr = tc.dot(z_prev, r, "rf_forward")
+        tc.check_same_shape(zr, pre, "rf_forward")
+        pre = zr + pre
+    absval = np.abs(pre)
+    out = np.sign(pre) * np.maximum(absval - t, 0.0)
+
+    def vjp(g):
+        mask = absval > t
+        g_pre = g * mask
+        yield 6, np.array([[-(np.sign(pre) * mask * g).sum()]])
+        if z_prev is not None:
+            yield 0, g_pre @ r.T
+            yield 4, z_prev.T @ g_pre
+        g_p1 = g_pre @ u.T
+        yield 5, p1.T @ g_pre
+        g_resid = g_p1 @ d_t.T
+        yield 3, (resid.T @ g_p1).T
+        yield 1, g_resid
+        if e_prev is not None:
+            yield 2, -g_resid
+
+    return out, vjp
 
 
-def cd_forward(z, x, e_prev, m) -> tc.DiffNode:
+def cd_forward(z, x, e_prev, m):
     """Dictionary refresh: M Z^T (X - E)."""
-    resid = x if e_prev is None else tc.sub(x, e_prev)
-    return tc.matmul(m, tc.matmul(tc.transpose(z), resid))
+    return tc.custom_op(_cd_kernel, z, x, e_prev, m)
 
 
-def dn_forward(x, z, d, rho, axis: str = "columns") -> tc.DiffNode:
-    """Noise update: group shrinkage of the reconstruction residual."""
-    return tc.group_soft_threshold(tc.sub(x, tc.matmul(z, d)), rho, axis=axis)
+def _cd_kernel(z, x, e_prev, m):
+    resid = _residual(x, e_prev, "cd_forward")
+    z_t = np.ascontiguousarray(z.T)
+    p = tc.dot(z_t, resid, "cd_forward")
+    out = tc.dot(m, p, "cd_forward")
+
+    def vjp(g):
+        yield 3, g @ p.T
+        g_p = m.T @ g
+        yield 0, (g_p @ resid.T).T
+        g_resid = z_t.T @ g_p
+        yield 1, g_resid
+        if e_prev is not None:
+            yield 2, -g_resid
+
+    return out, vjp
 
 
-def fusion_weights(z_views: list[tc.DiffNode], labels) -> tc.DiffNode:
-    """Separation-derived view weights, differentiable end to end.
+def dn_forward(x, z, d, rho, axis: str = "columns"):
+    """Noise update: group shrinkage of the reconstruction residual.
+    Each column (or row) g of X - Z D is scaled by (||g|| - rho)/||g||
+    when ||g|| > rho and zeroed otherwise; the subgradient is zero inside
+    and on the dead zone."""
+    return tc.custom_op(_dn_kernel, x, z, d, rho, axis)
+
+
+def _dn_kernel(x, z, d, rho, axis):
+    r = _threshold(rho, "dn_forward rho")
+    if axis not in ("columns", "rows"):
+        raise tc.DomainError(f"axis must be 'columns' or 'rows', got {axis!r}")
+    ax = 0 if axis == "columns" else 1
+    zd = tc.dot(z, d, "dn_forward")
+    tc.check_same_shape(x, zd, "dn_forward")
+    a = x - zd
+    norms = np.sqrt((a * a).sum(axis=ax, keepdims=True))
+    active = norms > r
+    safe = np.where(active, norms, 1.0)
+    factor = np.where(active, (norms - r) / safe, 0.0)
+
+    def vjp(g):
+        # per active group: da = f*g + (rho/n^3) <a, g> a ; drho = -<a, g>/n
+        inner = (a * g).sum(axis=ax, keepdims=True)
+        g_a = factor * g
+        g_a += (r / safe**3) * inner * a
+        if not active.all():
+            g_a = np.where(active, g_a, 0.0)
+        yield 3, np.array([[-np.where(active, inner / safe, 0.0).sum()]])
+        yield 0, g_a
+        # X - Z D: negating the products equals multiplying by -g_a, bit for bit
+        yield 1, -(g_a @ d.T)
+        yield 2, -(z.T @ g_a)
+
+    return a * factor, vjp
+
+
+def fusion_weights(z_views: list, labels):
+    """Separation-derived view weights (1 x V), differentiable end to end.
 
     Per view: class centroids of the code rows, the minimum pairwise
     centroid distance d_v (clamped at 1e-8), then
     w = softmax(-(1/d_v) / sum_u (1/d_u)).
 
-    The minimum pair is found in numpy; only that pair's distance is put
-    on the tape, as no other pair can reach the loss. On a tie the first
+    The minimum pair is found in numpy; only that pair's distance carries
+    a gradient, as no other pair can reach the loss. On a tie the first
     pair in (i, j) order wins and gives the subgradient.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    groups = np.unique(labels)
+    groups, group_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
     if groups.size < 2:
         raise FusionError(f"need >= 2 distinct labels for fusion weights, got {groups.size}")
     averaging = np.zeros((groups.size, labels.size))
-    for gi, g in enumerate(groups):
-        rows = labels == g
-        averaging[gi, rows] = 1.0 / rows.sum()
-    avg_node = tc.constant(averaging)
+    averaging[group_of, np.arange(labels.size)] = 1.0 / counts[group_of]
     first, second = np.triu_indices(groups.size, k=1)
+    floor = MIN_CENTROID_DISTANCE**2
 
-    min_dists = []
-    for z in z_views:
-        centroids = tc.matmul(avg_node, z)
-        diffs = centroids.value[first] - centroids.value[second]
-        k = int(np.argmin(np.sum(diffs * diffs, axis=1)))
-        diff = tc.sub(tc.take_rows(centroids, [first[k]]), tc.take_rows(centroids, [second[k]]))
-        best = tc.frobenius_sq(diff)
-        min_dists.append(tc.sqrt(tc.clamp_min(best, MIN_CENTROID_DISTANCE**2)))
+    def kernel(*codes):
+        pairs = []  # per view: the minimum pair (i, j), its difference and squared distance
+        for z in codes:
+            centroids = tc.dot(averaging, z, "fusion_weights")
+            diffs = centroids[first] - centroids[second]
+            k = int((diffs * diffs).sum(axis=1).argmin())
+            diff = centroids[[first[k]]] - centroids[[second[k]]]
+            pairs.append((first[k], second[k], diff, np.array([[(diff * diff).sum()]])))
+        dvec = np.hstack([np.sqrt(np.maximum(best, floor)) for *_, best in pairs])
+        inv = 1.0 / dvec
+        total = np.array([[inv.sum()]])
+        if total[0, 0] == 0.0:
+            raise tc.DomainError("reciprocal of a zero entry")
+        scale = 1.0 / total
+        sval = float(scale[0, 0])
+        neg = (inv * sval) * -1.0
+        expv = np.exp(neg - neg.max(axis=1, keepdims=True))
+        w = expv / expv.sum(axis=1, keepdims=True)
 
-    dvec = tc.hstack(min_dists)
-    inv = tc.reciprocal(dvec)
-    dbar = tc.mul_scalar_node(inv, tc.reciprocal(tc.sum(inv)))
-    return tc.row_softmax(tc.scale(dbar, -1.0))
+        def vjp(g):
+            inner = (g * w).sum(axis=1, keepdims=True)
+            g_dbar = (w * (g - inner)) * -1.0
+            g_scale = np.array([[(g_dbar * inv).sum()]])
+            g_total = -g_scale * scale * scale
+            g_inv = g_dbar * sval + np.full_like(inv, g_total[0, 0])
+            g_dvec = -g_inv * inv * inv
+            for v in reversed(range(len(pairs))):
+                i, j, diff, best = pairs[v]
+                dist = dvec[:, v : v + 1]
+                safe = np.where(dist > 0.0, dist, 1.0)
+                g_best = (g_dvec[:, v : v + 1] * (dist > 0.0) / (2.0 * safe)) * (best > floor)
+                g_diff = 2.0 * g_best[0, 0] * diff
+                g_centroids = np.zeros((groups.size, diff.shape[1]))
+                g_centroids[j] = -g_diff
+                g_centroids[i] = g_diff
+                yield v, averaging.T @ g_centroids
+
+        return w, vjp
+
+    return tc.custom_op(kernel, *z_views)
+
+
+def _weighted_sum_kernel(w, *codes):
+    """sum_v w_v Z_v for a 1 x V weight row, as the fused code."""
+    if w.shape != (1, len(codes)):
+        raise tc.ShapeError(f"fusion weights have shape {w.shape}, expected (1, {len(codes)})")
+    weights = [float(wv) for wv in w[0]]
+    fused = codes[0] * weights[0]
+    for z, wv in zip(codes[1:], weights[1:]):
+        tc.check_same_shape(fused, z, "weighted view sum")
+        fused = fused + z * wv
+
+    def vjp(g):
+        for v in reversed(range(len(codes))):
+            yield 1 + v, g * weights[v]
+        yield 0, np.array([[(g * z).sum() for z in codes]])
+
+    return fused, vjp
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +408,9 @@ def forward(
     Weight source: the snapshot in inference mode (required),
     label-derived weights when labels are supplied (falling back to
     uniform if fusion is infeasible), uniform otherwise.
+
+    Inference runs the same kernels on plain arrays: it binds no
+    parameter nodes and records nothing, and `z_fused` is a plain array.
     """
     views = batch.views if hasattr(batch, "views") else list(batch)
     if len(views) != params.n_views:
@@ -274,50 +421,51 @@ def forward(
     if inference and params.fusion_weights_snapshot is None:
         raise StateError("inference requires a fusion weight snapshot; train first")
 
-    nodes = _bind_params(params)
+    if inference:
+        nodes = {}
+        p = {n: tc.matrix(a) for n, a in params.named().items()}
+    else:
+        nodes = p = _bind_params(params)
     v_count = params.n_views
-    x = [tc.constant(v) for v in views]
-    z: list[tc.DiffNode | None] = [None] * v_count
-    e: list[tc.DiffNode | None] = [None] * v_count
+    x = [tc.matrix(v) for v in views]
+    z: list = [None] * v_count
+    e: list = [None] * v_count
     key = params.key
-    d = [nodes[key("d_init", v)] for v in range(v_count)]
+    d = [p[key("d_init", v)] for v in range(v_count)]
 
     trace: list[LayerState] = []
     for l in range(layers):
         for v in range(v_count):
             z[v] = rf_forward(
                 z[v], x[v], e[v], d[v],
-                nodes[key("r", l, v)], nodes[key("u", l, v)], nodes[key("theta", l, v)],
+                p[key("r", l, v)], p[key("u", l, v)], p[key("theta", l, v)],
             )
             if params.ablation != "no_cd_dn":
-                d[v] = cd_forward(z[v], x[v], e[v], nodes[key("m", l, v)])
+                d[v] = cd_forward(z[v], x[v], e[v], p[key("m", l, v)])
             if params.ablation == "full":
-                e[v] = dn_forward(x[v], z[v], d[v], nodes[key("rho", l, v)], params.group_axis)
+                e[v] = dn_forward(x[v], z[v], d[v], p[key("rho", l, v)], params.group_axis)
         trace.append(
             LayerState(
-                z=[zv.value for zv in z],
-                d=[dv.value for dv in d],
-                e=[ev.value if ev is not None else np.zeros_like(xv.value) for ev, xv in zip(e, x)],
+                z=[tc.value_of(zv) for zv in z],
+                d=[tc.value_of(dv) for dv in d],
+                e=[np.zeros_like(xv) if ev is None else tc.value_of(ev) for ev, xv in zip(e, x)],
             )
         )
 
     uniform = np.full((1, v_count), 1.0 / v_count)
     if inference:
-        w = tc.constant(params.fusion_weights_snapshot.reshape(1, -1))
+        w = tc.matrix(params.fusion_weights_snapshot.reshape(1, -1))
     elif labels_for_fusion is not None:
         try:
             w = fusion_weights(z, labels_for_fusion)
         except FusionError as exc:
             logger.warning("fusion fallback to uniform weights: %s", exc)
-            w = tc.constant(uniform)
+            w = uniform
     else:
-        w = tc.constant(uniform)
+        w = uniform
 
-    w_cols = tc.transpose(w)
-    z_fused = tc.mul_scalar_node(z[0], tc.take_rows(w_cols, [0]))
-    for v in range(1, v_count):
-        z_fused = tc.add(z_fused, tc.mul_scalar_node(z[v], tc.take_rows(w_cols, [v])))
-    weights = w.value.ravel().copy()
+    z_fused = tc.custom_op(_weighted_sum_kernel, w, *z)
+    weights = tc.value_of(w).ravel().copy()
     return ForwardResult(z_fused=z_fused, param_nodes=nodes, trace=trace, weights=weights)
 
 

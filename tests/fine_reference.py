@@ -1,0 +1,156 @@
+"""Bitwise references: the network modules and loss terms composed from
+fine-grained `tensor_core` ops, one tape node per elementary step.
+
+The package builds each module and loss term as a single tape op with a
+hand-written VJP that must reproduce these graphs exactly: the same
+values and, after `tc.backward`, the same input gradients, bit for bit.
+`forward` and `total_loss` here are the whole training graph built the
+same way, to check the gradient accumulation order across modules.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+import openviewer.tensor_core as tc
+from openviewer.losses import LossError, _one_hot
+from openviewer.unfold_net import (
+    MIN_CENTROID_DISTANCE,
+    FusionError,
+    ForwardResult,
+    LayerState,
+    UnfoldParams,
+    _bind_params,
+)
+
+
+def rf_forward(z_prev, x, e_prev, d_prev, r, u, theta) -> tc.DiffNode:
+    resid = x if e_prev is None else tc.sub(x, e_prev)
+    pre = tc.matmul(tc.matmul(resid, tc.transpose(d_prev)), u)
+    if z_prev is not None:
+        pre = tc.add(tc.matmul(z_prev, r), pre)
+    return tc.soft_threshold(pre, theta)
+
+
+def cd_forward(z, x, e_prev, m) -> tc.DiffNode:
+    resid = x if e_prev is None else tc.sub(x, e_prev)
+    return tc.matmul(m, tc.matmul(tc.transpose(z), resid))
+
+
+def dn_forward(x, z, d, rho, axis: str = "columns") -> tc.DiffNode:
+    return tc.group_soft_threshold(tc.sub(x, tc.matmul(z, d)), rho, axis=axis)
+
+
+def fusion_weights(z_views, labels) -> tc.DiffNode:
+    """Minimum centroid pair per view on the tape (first pair on a tie)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    groups = np.unique(labels)
+    if groups.size < 2:
+        raise FusionError(f"need >= 2 distinct labels for fusion weights, got {groups.size}")
+    averaging = np.zeros((groups.size, labels.size))
+    for gi, g in enumerate(groups):
+        rows = labels == g
+        averaging[gi, rows] = 1.0 / rows.sum()
+    avg_node = tc.constant(averaging)
+    first, second = np.triu_indices(groups.size, k=1)
+
+    min_dists = []
+    for z in z_views:
+        centroids = tc.matmul(avg_node, z)
+        diffs = centroids.value[first] - centroids.value[second]
+        k = int(np.argmin(np.sum(diffs * diffs, axis=1)))
+        diff = tc.sub(tc.take_rows(centroids, [first[k]]), tc.take_rows(centroids, [second[k]]))
+        best = tc.frobenius_sq(diff)
+        min_dists.append(tc.sqrt(tc.clamp_min(best, MIN_CENTROID_DISTANCE**2)))
+
+    dvec = tc.hstack(min_dists)
+    inv = tc.reciprocal(dvec)
+    dbar = tc.mul_scalar_node(inv, tc.reciprocal(tc.sum(inv)))
+    return tc.row_softmax(tc.scale(dbar, -1.0))
+
+
+def weighted_sum(w: tc.DiffNode, z_views) -> tc.DiffNode:
+    w_cols = tc.transpose(w)
+    z_fused = tc.mul_scalar_node(z_views[0], tc.take_rows(w_cols, [0]))
+    for v in range(1, len(z_views)):
+        z_fused = tc.add(z_fused, tc.mul_scalar_node(z_views[v], tc.take_rows(w_cols, [v])))
+    return z_fused
+
+
+def forward(batch, params: UnfoldParams, labels_for_fusion=None) -> ForwardResult:
+    """The training forward with every step on the tape."""
+    nodes = _bind_params(params)
+    v_count = params.n_views
+    x = [tc.constant(v) for v in batch.views]
+    z = [None] * v_count
+    e = [None] * v_count
+    key = params.key
+    d = [nodes[key("d_init", v)] for v in range(v_count)]
+    trace = []
+    for l in range(params.num_layers):
+        for v in range(v_count):
+            z[v] = rf_forward(
+                z[v], x[v], e[v], d[v],
+                nodes[key("r", l, v)], nodes[key("u", l, v)], nodes[key("theta", l, v)],
+            )
+            if params.ablation != "no_cd_dn":
+                d[v] = cd_forward(z[v], x[v], e[v], nodes[key("m", l, v)])
+            if params.ablation == "full":
+                e[v] = dn_forward(x[v], z[v], d[v], nodes[key("rho", l, v)], params.group_axis)
+        trace.append(LayerState(z=[zv.value for zv in z], d=[dv.value for dv in d], e=[]))
+
+    uniform = tc.constant(np.full((1, v_count), 1.0 / v_count))
+    if labels_for_fusion is None:
+        w = uniform
+    else:
+        try:
+            w = fusion_weights(z, labels_for_fusion)
+        except FusionError:
+            w = uniform
+    z_fused = weighted_sum(w, z)
+    return ForwardResult(z_fused=z_fused, param_nodes=nodes, trace=trace,
+                         weights=w.value.ravel().copy())
+
+
+def known_loss(z_known: tc.DiffNode, labels, xi: float) -> tc.DiffNode:
+    n, c = z_known.value.shape
+    onehot = tc.constant(_one_hot(labels, c))
+    log_p = tc.row_log_softmax(z_known)
+    ce = tc.scale(tc.sum(tc.mul_elem(onehot, log_p)), -1.0 / n)
+    hinge = tc.relu(tc.add_scalar(tc.scale(tc.row_l2_norms(z_known), -1.0), xi))
+    margin = tc.sum(tc.mul_elem(hinge, hinge))
+    return tc.add(ce, margin)
+
+
+def unknown_loss(z_pseudo: tc.DiffNode) -> tc.DiffNode:
+    n, c = z_pseudo.value.shape
+    log_p = tc.row_log_softmax(z_pseudo)
+    flat = tc.scale(tc.sum(log_p), -1.0 / c)
+    return tc.add(flat, tc.frobenius_sq(z_pseudo))
+
+
+def center_loss(z_known: tc.DiffNode, labels, centers: np.ndarray) -> tc.DiffNode:
+    gathered = tc.constant(centers[np.asarray(labels, dtype=np.int64)])
+    return tc.scale(tc.frobenius_sq(tc.sub(z_known, gathered)), 0.5)
+
+
+def total_loss(z_fused: tc.DiffNode, labels, is_pseudo, centers, config):
+    labels = np.asarray(labels, dtype=np.int64)
+    is_pseudo = np.asarray(is_pseudo, dtype=bool)
+    known_idx = np.flatnonzero(~is_pseudo)
+    pseudo_idx = np.flatnonzero(is_pseudo)
+    if known_idx.size == 0:
+        raise LossError("total_loss needs at least one known sample in the batch")
+    z_known = tc.take_rows(z_fused, known_idx)
+    total = known_loss(z_known, labels[known_idx], config.xi)
+    parts = {"known": total.item(), "unknown": 0.0, "center": 0.0}
+    if config.lambda1 > 0 and pseudo_idx.size:
+        unk = unknown_loss(tc.take_rows(z_fused, pseudo_idx))
+        parts["unknown"] = unk.item()
+        total = tc.add(total, tc.scale(unk, config.lambda1))
+    if config.lambda2 > 0:
+        cen = center_loss(z_known, labels[known_idx], centers)
+        parts["center"] = cen.item()
+        total = tc.add(total, tc.scale(cen, config.lambda2))
+    parts["total"] = total.item()
+    return total, parts

@@ -18,6 +18,7 @@ from openviewer.dataset import openness_split
 from openviewer.losses import CenterState
 from openviewer.unfold_net import forward, init_params
 
+import fine_reference as ref
 from helpers import batch_from_dataset, small_spec
 
 
@@ -185,7 +186,7 @@ class TestScoreTestSet:
                 row[v] = u * 1e300
         batch = batch_from_dataset(dataset, split.test_idx)
         with np.errstate(over="ignore", invalid="ignore"):
-            fused = forward(batch, params, inference=True).z_fused.value
+            fused = forward(batch, params, inference=True).z_fused
         bad = int(np.count_nonzero(~np.isfinite(fused).all(axis=1)))
         assert bad > 0
         message = f"not finite in {bad} of {len(split.test_idx)} rows"
@@ -216,6 +217,28 @@ class TestContractionDiagnostic:
         assert report.spectral_norm_r == pytest.approx(0.5, rel=1e-8)
         assert report.max_ratio <= 0.5 + 1e-9
         assert report.passed
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_report_matches_taped_reference(self, seed):
+        # the parent's procedure: the same draws through the fine-grained RF graph
+        params = init_params([9, 6], 4, seed=seed)
+        params.r[0][1] = 1.2 * params.r[0][1]
+        for view in (0, 1):
+            report = contraction_diagnostic(params, view=view, trials=60, seed=seed)
+            rng = np.random.default_rng(seed)
+            x = tc.constant(rng.normal(size=(16, params.view_dims[view])))
+            d, u, r = (tc.constant(a) for a in (params.d_init[view], params.u[0][view],
+                                               params.r[0][view]))
+            theta = tc.constant([[params.theta[0][view]]])
+            max_ratio = 0.0
+            for _ in range(60):
+                za = rng.normal(size=(16, 4)) * rng.uniform(0.1, 5.0)
+                zb = rng.normal(size=(16, 4)) * rng.uniform(0.1, 5.0)
+                fa = ref.rf_forward(tc.constant(za), x, None, d, r, u, theta).value
+                fb = ref.rf_forward(tc.constant(zb), x, None, d, r, u, theta).value
+                max_ratio = max(max_ratio, float(np.linalg.norm(fa - fb) / np.linalg.norm(za - zb)))
+            assert report.max_ratio == max_ratio
+            assert report.trials == 60
 
     def test_non_contractive_flagged_not_failed(self):
         params = init_params([9], 4, seed=2)

@@ -17,6 +17,8 @@ from openviewer.losses import (
     update_centers,
 )
 
+import fine_reference as ref
+
 
 class TestKnownLoss:
     def test_perfect_sample_vanishes(self):
@@ -237,3 +239,80 @@ class TestGradientBound:
             LossConfig(center_lr=0.0).validate()
         with pytest.raises(LossError):
             LossConfig(lambda1=-0.1).validate()
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def loss_and_grad(op, z):
+    node = tc.leaf(z)
+    out = op(node)
+    out, parts = out if isinstance(out, tuple) else (out, None)
+    tc.backward(out)
+    return out.value, node.grad, parts
+
+
+class TestLossOpsMatchFineGraph:
+    """Each loss term (and their weighted sum) is one tape op whose value
+    and input gradient equal the fine-grained graph bit for bit."""
+
+    def _rows(self, seed, n=9, c=5):
+        # row norms on both sides of the hinge margin xi = 2.5
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n, c))
+        return z * np.linspace(0.2, 3.0, n)[:, None], rng
+
+    def _assert_same(self, op, reference, z):
+        value, grad, parts = loss_and_grad(op, z)
+        ref_value, ref_grad, ref_parts = loss_and_grad(reference, z)
+        assert same_bits(value, ref_value) and same_bits(grad, ref_grad)
+        assert parts == ref_parts
+
+    def test_known_loss(self):
+        for seed in range(5):
+            z, rng = self._rows(seed)
+            norms = np.linalg.norm(z, axis=1)
+            assert np.any(norms < 2.5) and np.any(norms > 2.5)
+            labels = rng.integers(0, 5, size=z.shape[0])
+            self._assert_same(lambda n: known_loss(n, labels, 2.5),
+                              lambda n: ref.known_loss(n, labels, 2.5), z)
+
+    def test_unknown_loss(self):
+        for seed in range(5):
+            z, _ = self._rows(seed)
+            self._assert_same(unknown_loss, ref.unknown_loss, z)
+
+    def test_center_loss(self):
+        for seed in range(5):
+            z, rng = self._rows(seed)
+            labels = rng.integers(0, 5, size=z.shape[0])
+            centers = rng.normal(size=(5, 5))
+            self._assert_same(lambda n: center_loss(n, labels, centers),
+                              lambda n: ref.center_loss(n, labels, centers), z)
+
+    @pytest.mark.parametrize("n_pseudo", [0, 4])
+    @pytest.mark.parametrize("lambdas", [(0.3, 0.2), (0.0, 0.2), (0.3, 0.0), (0.0, 0.0)])
+    def test_total_loss(self, n_pseudo, lambdas):
+        cfg = LossConfig(xi=2.5, lambda1=lambdas[0], lambda2=lambdas[1])
+        for seed in range(3):
+            z, rng = self._rows(seed, n=8 + n_pseudo)
+            labels = np.concatenate([rng.integers(0, 5, size=8), np.full(n_pseudo, 5)])
+            is_pseudo = np.arange(8 + n_pseudo) >= 8
+            order = rng.permutation(labels.size)  # pseudo rows interleaved
+            labels, is_pseudo = labels[order], is_pseudo[order]
+            centers = rng.normal(size=(5, 5))
+            self._assert_same(lambda n: total_loss(n, labels, is_pseudo, centers, cfg),
+                              lambda n: ref.total_loss(n, labels, is_pseudo, centers, cfg), z)
+
+    def test_non_finite_centers_raise(self):
+        z = np.zeros((3, 2))
+        centers = np.array([[0.0, 1.0], [np.nan, 0.0]])
+        with pytest.raises(LossError, match="centers"):
+            center_loss(tc.leaf(z), [0, 1, 1], centers)
+        with pytest.raises(LossError, match="centers"):
+            total_loss(tc.leaf(z), [0, 1, 1], np.zeros(3, bool), centers, LossConfig())
+
+    def test_center_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(tc.ShapeError, match=r"\(3, 2\) vs \(3, 4\)"):
+            center_loss(tc.leaf(np.zeros((3, 2))), [0, 1, 1], np.zeros((2, 4)))

@@ -6,6 +6,8 @@ import pytest
 import openviewer.tensor_core as tc
 from openviewer import admm_oracle as ao
 from openviewer import synthgen, unfold_net
+from openviewer.losses import LossConfig, total_loss
+from openviewer.pseudo_gen import MixConfig, generate_pseudo
 from openviewer.unfold_net import (
     MIN_CENTROID_DISTANCE,
     FusionError,
@@ -21,6 +23,7 @@ from openviewer.unfold_net import (
     rf_forward,
 )
 
+import fine_reference as ref
 from helpers import analytic_params_from_oracle, batch_from_dataset, small_spec
 
 
@@ -190,6 +193,10 @@ def fusion_value_and_grads(fn, codes, labels, probe):
     return w.value, [leaf.grad for leaf in leaves]
 
 
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _codes_with_centroids(centroids, rows_per_class, rng):
     """Rows scattered around the given class centroids. With power-of-two
     row counts and integer offsets every centroid is computed exactly."""
@@ -206,10 +213,11 @@ class TestFusionMinimumPair:
     def _assert_matches_reference(self, codes, labels, seed=0):
         probe = np.random.default_rng(seed).normal(size=(1, len(codes)))
         w, grads = fusion_value_and_grads(fusion_weights, codes, labels, probe)
-        w_ref, grads_ref = fusion_value_and_grads(all_pairs_fusion_weights, codes, labels, probe)
-        assert np.array_equal(w, w_ref)
-        for g, g_ref in zip(grads, grads_ref):
-            assert np.array_equal(g, g_ref)
+        for reference in (all_pairs_fusion_weights, ref.fusion_weights):
+            w_ref, grads_ref = fusion_value_and_grads(reference, codes, labels, probe)
+            assert same_bits(w, w_ref)
+            for g, g_ref in zip(grads, grads_ref):
+                assert same_bits(g, g_ref)
         return grads
 
     @pytest.mark.parametrize("cols", [3, 5, 12])
@@ -401,7 +409,7 @@ class TestForward:
         batch = batch_from_dataset(dataset, range(6))
         res = forward(batch, params, inference=True)
         manual = 0.3 * res.trace[-1].z[0] + 0.7 * res.trace[-1].z[1]
-        assert np.allclose(res.z_fused.value, manual, atol=1e-14)
+        assert np.allclose(res.z_fused, manual, atol=1e-14)
 
     def test_ablations_change_structure(self):
         dataset, _ = synthgen.generate(small_spec())
@@ -575,3 +583,215 @@ class TestSerialization:
 
 def _assign(params, name, flat_index, value):
     params.named()[name].flat[flat_index] = value
+
+
+def as_leaves(inputs):
+    """Leaves for the array inputs; other inputs (None, strings) as given."""
+    return [tc.leaf(a) if isinstance(a, np.ndarray) else a for a in inputs]
+
+
+def op_value_and_grads(op, inputs, seed=0):
+    """Value of `op` on `as_leaves(inputs)` and the gradients of
+    <out, probe> in every leaf."""
+    args = as_leaves(inputs)
+    out = op(*args)
+    probe = np.random.default_rng(seed).normal(size=out.shape)
+    tc.backward(tc.sum(tc.mul_elem(out, tc.constant(probe))))
+    return out.value, [a.grad for a in args if isinstance(a, tc.DiffNode)]
+
+
+def assert_matches_fine_graph(op, reference, inputs, seed=0):
+    value, grads = op_value_and_grads(op, inputs, seed)
+    ref_value, ref_grads = op_value_and_grads(reference, inputs, seed)
+    assert same_bits(value, ref_value)
+    assert len(grads) == len(ref_grads)
+    for g, g_ref in zip(grads, ref_grads):
+        assert same_bits(g, g_ref)
+    return value, grads
+
+
+def rf_inputs(rng, with_state, n=9, dim=7, c=4, theta=0.6):
+    """(z_prev, x, e_prev, d, r, u, theta); z_prev and e_prev None unless
+    `with_state`."""
+    x = rng.normal(size=(n, dim))
+    state = (rng.normal(size=(n, c)), 0.3 * rng.normal(size=(n, dim))) if with_state else (None, None)
+    return [state[0], x, state[1], rng.normal(size=(c, dim)), rng.normal(size=(c, c)),
+            rng.normal(size=(c, c)), np.array([[theta]])]
+
+
+class TestModuleOps:
+    """Each module is one tape op whose value and input gradients equal the
+    fine-grained graph of `fine_reference` bit for bit."""
+
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_rf_matches_fine_graph(self, with_state):
+        rng = np.random.default_rng(30)
+        for trial in range(5):
+            inputs = rf_inputs(rng, with_state)
+            out, _ = assert_matches_fine_graph(rf_forward, ref.rf_forward, inputs, seed=trial)
+            # both the dead zone and active entries are exercised
+            assert np.any(out == 0.0) and np.any(out != 0.0)
+
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_cd_matches_fine_graph(self, with_state):
+        rng = np.random.default_rng(31)
+        for trial in range(5):
+            z, x = rng.normal(size=(9, 4)), rng.normal(size=(9, 7))
+            e = 0.3 * rng.normal(size=(9, 7)) if with_state else None
+            inputs = [z, x, e, rng.normal(size=(4, 4))]
+            assert_matches_fine_graph(cd_forward, ref.cd_forward, inputs, seed=trial)
+
+    @pytest.mark.parametrize("axis", ["columns", "rows"])
+    def test_dn_matches_fine_graph(self, axis):
+        rng = np.random.default_rng(32)
+        ax = 0 if axis == "columns" else 1
+        for trial in range(5):
+            x, z, d = rng.normal(size=(9, 7)), rng.normal(size=(9, 4)), rng.normal(size=(4, 7))
+            norms = np.linalg.norm(x - z @ d, axis=ax)
+            rho = np.array([[np.median(norms)]])
+            out, _ = assert_matches_fine_graph(
+                dn_forward, ref.dn_forward, [x, z, d, rho, axis], seed=trial
+            )
+            group_norms = np.linalg.norm(out, axis=ax)
+            assert np.any(group_norms == 0.0) and np.any(group_norms > 0.0)
+
+    @pytest.mark.parametrize("views", [1, 2, 3])
+    def test_weighted_sum_matches_fine_graph(self, views):
+        rng = np.random.default_rng(33)
+        codes = [rng.normal(size=(8, 5)) for _ in range(views)]
+        w = rng.dirichlet(np.ones(views)).reshape(1, -1)
+
+        def op(w, *z):
+            return tc.custom_op(unfold_net._weighted_sum_kernel, w, *z)
+
+        assert_matches_fine_graph(op, lambda w, *z: ref.weighted_sum(w, z), [w, *codes])
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("ablation", ["full", "no_dn", "no_cd_dn"])
+    @pytest.mark.parametrize("axis", ["columns", "rows"])
+    def test_training_graph_matches_fine_graph(self, layers, ablation, axis):
+        dataset, _ = synthgen.generate(small_spec(jitter=0.3))
+        batch = batch_from_dataset(dataset, range(0, 40, 3))
+        batch = generate_pseudo(batch, MixConfig(omega=2.0, pseudo_ratio=0.5, unknown_label=5),
+                                np.random.default_rng(34))
+        params = init_params(dataset.view_dims, dataset.class_count,
+                             ao.AdmmConfig(alpha=0.05, gamma=1.0), seed=35, num_layers=layers,
+                             group_axis=axis, ablation=ablation, expected_rows=20)
+        centers = np.random.default_rng(36).normal(size=(5, 5))
+        cfg = LossConfig(xi=1.5, lambda1=0.3, lambda2=0.2)
+        runs = []
+        for fwd, loss in ((forward, total_loss), (ref.forward, ref.total_loss)):
+            res = fwd(batch, params, labels_for_fusion=batch.labels)
+            node, parts = loss(res.z_fused, batch.labels, batch.is_pseudo, centers, cfg)
+            tc.backward(node)
+            runs.append((res, node, parts))
+        (res, node, parts), (res_ref, node_ref, parts_ref) = runs
+        assert same_bits(node.value, node_ref.value) and parts == parts_ref
+        assert same_bits(res.z_fused.value, res_ref.z_fused.value)
+        assert same_bits(res.z_fused.grad, res_ref.z_fused.grad)
+        assert same_bits(res.weights, res_ref.weights)
+        assert list(res.param_nodes) == list(res_ref.param_nodes)
+        for name, leaf in res.param_nodes.items():
+            assert same_bits(leaf.grad, res_ref.param_nodes[name].grad), name
+
+    def test_plain_arrays_give_plain_arrays(self):
+        rng = np.random.default_rng(37)
+        inputs = rf_inputs(rng, with_state=True)
+        start = next(tc._NODE_COUNTER)
+        out = rf_forward(*inputs)
+        assert next(tc._NODE_COUNTER) == start + 1  # nothing recorded in between
+        assert isinstance(out, np.ndarray)
+        assert same_bits(out, rf_forward(*as_leaves(inputs)).value)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(38)
+        cases = [
+            (rf_forward, rf_inputs(rng, with_state=True)),
+            (cd_forward, [rng.normal(size=(6, 3)), rng.normal(size=(6, 5)),
+                          rng.normal(size=(6, 5)), rng.normal(size=(3, 3))]),
+            (lambda x, z, d, rho: dn_forward(x, z, d, rho, "columns"),
+             [rng.normal(size=(6, 5)), rng.normal(size=(6, 3)), rng.normal(size=(3, 5)),
+              np.array([[1.5]])]),
+            (lambda x, z, d, rho: dn_forward(x, z, d, rho, "rows"),
+             [rng.normal(size=(6, 5)), rng.normal(size=(6, 3)), rng.normal(size=(3, 5)),
+              np.array([[1.5]])]),
+            (lambda w, z0, z1: tc.custom_op(unfold_net._weighted_sum_kernel, w, z0, z1),
+             [np.array([[0.3, 0.7]]), rng.normal(size=(6, 3)), rng.normal(size=(6, 3))]),
+        ]
+        for op, inputs in cases:
+            probe = tc.constant(rng.normal(size=op(*inputs).shape))
+            leaves = [tc.leaf(a) for a in inputs]
+            err = tc.finite_diff_check(lambda n: tc.sum(tc.mul_elem(op(*n), probe)), leaves)
+            assert err < 1e-4
+
+    def test_negative_thresholds_raise(self):
+        rng = np.random.default_rng(39)
+        inputs = rf_inputs(rng, with_state=True, theta=-0.1)
+        with pytest.raises(tc.DomainError, match="theta"):
+            rf_forward(*inputs)
+        with pytest.raises(tc.DomainError, match="theta"):
+            rf_forward(*as_leaves(inputs))
+        x, z, d = rng.normal(size=(6, 5)), rng.normal(size=(6, 3)), rng.normal(size=(3, 5))
+        with pytest.raises(tc.DomainError, match="rho"):
+            dn_forward(tc.leaf(x), tc.leaf(z), tc.leaf(d), tc.leaf([[-0.1]]))
+        with pytest.raises(tc.DomainError, match="axis"):
+            dn_forward(x, z, d, np.array([[0.1]]), "diagonal")
+
+    @pytest.mark.parametrize("case", ["rf", "cd", "dn", "sum", "fusion"])
+    def test_shape_mismatch_names_both_shapes(self, case):
+        rng = np.random.default_rng(40)
+        leaf = lambda *shape: tc.leaf(rng.normal(size=shape))  # noqa: E731
+        a, b = (6, 5), (6, 4)
+        if case == "rf":  # x against e_prev
+            args = (leaf(6, 3), leaf(*a), leaf(*b), leaf(3, 5), leaf(3, 3), leaf(3, 3),
+                    tc.leaf([[0.1]]))
+            op = rf_forward
+        elif case == "cd":  # x against e_prev
+            args, op = (leaf(6, 3), leaf(*a), leaf(*b), leaf(3, 3)), cd_forward
+        elif case == "dn":  # x against Z D
+            args, op = (leaf(*a), leaf(6, 3), leaf(3, 4), tc.leaf([[0.1]])), dn_forward
+        elif case == "sum":  # view codes of different widths
+            args = (np.array([[0.5, 0.5]]), leaf(*a), leaf(*b))
+            op = lambda *n: tc.custom_op(unfold_net._weighted_sum_kernel, *n)  # noqa: E731
+        else:  # centroid averaging over 6 labels against a 5-row code
+            a, b = (2, 6), (5, 3)
+            args, op = ([leaf(*b)], [0, 0, 0, 1, 1, 1]), fusion_weights
+        with pytest.raises(tc.ShapeError) as info:
+            op(*args)
+        assert str(a) in str(info.value) and str(b) in str(info.value)
+
+
+class TestTapeSize:
+    def _labelled(self, layers=2):
+        dataset, _ = synthgen.generate(small_spec())
+        batch = batch_from_dataset(dataset, range(0, 40, 3))
+        params = init_params(dataset.view_dims, dataset.class_count, seed=3,
+                             num_layers=layers, expected_rows=14)
+        params.fusion_weights_snapshot = np.array([0.45, 0.55])
+        return batch, params
+
+    def test_training_step_nodes(self):
+        batch, params = self._labelled()
+        centers = np.zeros((5, 5))
+        start = next(tc._NODE_COUNTER)
+        res = forward(batch, params, labels_for_fusion=batch.labels)
+        total_loss(res.z_fused, batch.labels, batch.is_pseudo, centers, LossConfig())
+        # 22 parameter leaves, 3 ops per view and layer, fusion, sum, loss: 37
+        assert next(tc._NODE_COUNTER) - start - 1 <= 40
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_inference_records_nothing(self, layers):
+        batch, params = self._labelled(layers)
+        start = next(tc._NODE_COUNTER)
+        res = forward(batch, params, inference=True)
+        assert next(tc._NODE_COUNTER) == start + 1
+        assert isinstance(res.z_fused, np.ndarray) and res.param_nodes == {}
+        # the taped forward with the snapshot as constant weights
+        w = params.fusion_weights_snapshot.reshape(1, -1)
+        taped = forward(batch, params)
+        z_views = [tc.leaf(z) for z in taped.trace[-1].z]
+        expected = tc.custom_op(unfold_net._weighted_sum_kernel, w, *z_views).value
+        assert same_bits(res.z_fused, expected)
+        for mine, theirs in zip(res.trace, taped.trace):
+            for a, b in zip(mine.z + mine.d + mine.e, theirs.z + theirs.d + theirs.e):
+                assert same_bits(a, b)
