@@ -6,6 +6,11 @@ hand-written VJP that must reproduce these graphs exactly: the same
 values and, after `tc.backward`, the same input gradients, bit for bit.
 `forward` and `total_loss` here are the whole training graph built the
 same way, to check the gradient accumulation order across modules.
+
+`power_iteration_norm` is the solver's power iteration as it was written
+before it carried the matrix-vector product from one step to the next:
+two products per step and `np.linalg.norm`. The package's one-product
+loop must return the same bits and raise the same errors.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 import openviewer.tensor_core as tc
+from openviewer.admm_oracle import PowerIterationError
 from openviewer.losses import LossError, _one_hot
 from openviewer.unfold_net import (
     MIN_CENTROID_DISTANCE,
@@ -22,6 +28,33 @@ from openviewer.unfold_net import (
     UnfoldParams,
     _bind_params,
 )
+
+
+def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> float:
+    n = mat.shape[0]
+    if mat.shape != (n, n):
+        raise ValueError(f"power iteration needs a square matrix, got {mat.shape}")
+    rng = np.random.default_rng(12345)
+    vec = rng.normal(size=n)
+    vec /= np.linalg.norm(vec)
+    lam = 0.0
+    change = np.inf
+    for _ in range(max_iter):
+        nxt = mat @ vec
+        norm = np.linalg.norm(nxt)
+        if norm == 0.0:
+            return 0.0
+        vec = nxt / norm
+        lam_new = float(vec @ (mat @ vec))
+        change = abs(lam_new - lam) / max(1.0, abs(lam_new))
+        if change <= tol:
+            return lam_new
+        lam = lam_new
+    if change <= 1e-5:
+        return lam
+    raise PowerIterationError(
+        f"power iteration did not converge in {max_iter} iterations (last change {change:.3e})"
+    )
 
 
 def rf_forward(z_prev, x, e_prev, d_prev, r, u, theta) -> tc.DiffNode:

@@ -7,6 +7,7 @@ import pytest
 from openviewer import admm_oracle as ao
 from openviewer import synthgen
 
+import fine_reference as ref
 from helpers import small_spec
 
 
@@ -23,6 +24,30 @@ def random_state(x_views, c, seed=1):
     e = [rng.normal(size=x.shape) * 0.1 for x in x_views]
     lp = [ao.lipschitz(dv) for dv in d]
     return ao.AdmmState(z=z, d=d, e=e, l_p=lp)
+
+
+def gram_with_spectrum(rng, eigvals):
+    """Q diag(eigvals) Q^T for a random orthogonal Q."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigvals), len(eigvals))))
+    return (q * np.asarray(eigvals)) @ q.T
+
+
+def dictionary_with_ratio(rng, ratio, rows, cols):
+    """A rows x cols dictionary whose D D^T has lambda_2 / lambda_1 = ratio."""
+    lam1 = rng.uniform(0.5, 5.0)
+    rest = lam1 * ratio * np.sort(rng.uniform(0.0, 1.0, rows - 2))[::-1]
+    spectrum = np.concatenate([[lam1, lam1 * ratio], rest])
+    u, _ = np.linalg.qr(rng.normal(size=(rows, rows)))
+    v, _ = np.linalg.qr(rng.normal(size=(cols, rows)))
+    return (u * np.sqrt(spectrum)) @ v.T
+
+
+def outcome(fn, mat, **kwargs):
+    """The result as float.hex, or the error type and message."""
+    try:
+        return float.hex(fn(mat, **kwargs))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def objective_reference(state, x_views, cfg):
@@ -95,6 +120,75 @@ class TestLipschitz:
     def test_zero_dictionary_warns_neutral(self):
         with pytest.warns(UserWarning):
             assert ao.lipschitz(np.zeros((3, 5))) == 1.0
+
+    def test_never_below_largest_eigenvalue(self):
+        # the bare power iteration under-estimates by up to 1e-3 relative
+        # here (at 0.999), which the 1% safety pad covers; with tol=1e-6
+        # instead of 1e-10, 4 of these 700 fall below lambda_max
+        rng = np.random.default_rng(40)
+        for ratio in (0.3, 0.6, 0.9, 0.99, 0.999, 0.9999, 0.99999):
+            for _ in range(100):
+                rows = int(rng.integers(2, 9))
+                d = dictionary_with_ratio(rng, ratio, rows, int(rng.integers(rows, 3 * rows)))
+                top = float(np.linalg.eigvalsh(d @ d.T).max())
+                assert ao.lipschitz(d) >= top, (ratio, rows)
+
+
+class TestPowerIteration:
+    """The one-product loop against the two-product loop it replaced:
+    the same bits, the same errors."""
+
+    def assert_same(self, mat, **kwargs):
+        assert outcome(ao.power_iteration_norm, mat, **kwargs) == \
+            outcome(ref.power_iteration_norm, mat, **kwargs)
+
+    def test_random_gram_matrices_bitwise(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            a = rng.normal(size=(n, int(rng.integers(1, 2 * n + 1))))
+            self.assert_same(a @ a.T)
+
+    def test_near_degenerate_bitwise(self):
+        rng = np.random.default_rng(42)
+        for ratio in (0.9, 0.99, 0.999):
+            for n in (2, 5, 8):
+                for _ in range(5):
+                    eig = np.concatenate([[1.0, ratio], ratio * rng.uniform(0, 1, n - 2)])
+                    self.assert_same(gram_with_spectrum(rng, rng.uniform(0.1, 10) * eig))
+
+    def test_rank_one_zero_and_scalar_bitwise(self):
+        rng = np.random.default_rng(43)
+        for n in (1, 3, 7):
+            u = rng.normal(size=(n, 1))
+            self.assert_same(u @ u.T)
+            self.assert_same(np.zeros((n, n)))
+        assert ao.power_iteration_norm(np.zeros((4, 4))) == 0.0
+        self.assert_same(np.array([[2.5]]))
+
+    def test_iteration_cap_bitwise(self):
+        # with tol out of reach the cap decides: an early cap raises, a
+        # later one accepts the last estimate (change <= 1e-5)
+        mat = gram_with_spectrum(np.random.default_rng(44), [1.0, 0.99, 0.5, 0.2, 0.1])
+        kinds = set()
+        for max_iter in range(1, 400, 13):
+            got = outcome(ao.power_iteration_norm, mat, tol=1e-15, max_iter=max_iter)
+            assert got == outcome(ref.power_iteration_norm, mat, tol=1e-15, max_iter=max_iter)
+            kinds.add(type(got))
+        assert kinds == {str, tuple}
+        with pytest.raises(ao.PowerIterationError, match="did not converge in 3 iterations"):
+            ao.power_iteration_norm(mat, max_iter=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise_before_iterating(self, bad):
+        mat = np.eye(4)
+        mat[1, 2] = bad
+        with pytest.raises(ValueError, match=r"1 non-finite entries at \(1, 2\)"):
+            ao.power_iteration_norm(mat)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            ao.power_iteration_norm(np.ones((2, 3)))
 
 
 class TestSteps:
