@@ -323,7 +323,7 @@ def _cmd_diag(args, config):
     seed = args.seed if args.seed is not None else 0
     report = {"version": version_info()}
 
-    params = init_params([16, 12], 6, seed=[seed, 100], num_layers=1)
+    params = init_params([16, 12], 6, seed=[seed, 100], num_layers=2)
     contraction = contraction_diagnostic(params, view=0, trials=args.trials, seed=seed)
     report["contraction"] = dataclasses.asdict(contraction)
 

@@ -169,7 +169,7 @@ class ContractionReport:
 def contraction_diagnostic(
     params: UnfoldParams, view: int = 0, trials: int = 1000, seed: int = 0
 ) -> ContractionReport:
-    """Empirically check that the code-update map shrinks pairs by ||R||_2.
+    """Empirically check that layer 1's code-update map shrinks pairs by ||R||_2.
 
     The shrinkage activation is nonexpansive, so the map contracts whenever
     ||R||_2 < 1; with ||R||_2 >= 1 the report flags "not contractive" but
@@ -177,14 +177,16 @@ def contraction_diagnostic(
     """
     if trials < 1:
         raise MetricError("trials must be >= 1")
+    if params.num_layers < 2:
+        raise MetricError("layer 0 has no R: the contraction diagnostic needs >= 2 layers")
     rng = np.random.default_rng(seed)
     r = params.r[0][view]
     norm_r = float(np.sqrt(power_iteration_norm(r.T @ r)))
     c = params.num_classes
     n = 16
     x = rng.normal(size=(n, params.view_dims[view]))
-    d, u, r = (tc.matrix(a) for a in (params.d_init[view], params.u[0][view], r))
-    theta = tc.matrix(params.theta[0][view])
+    d, u, r = (tc.matrix(a) for a in (params.d_init[view], params.u[1][view], r))
+    theta = tc.matrix(params.theta[1][view])
 
     max_ratio = 0.0
     for _ in range(trials):
@@ -243,10 +245,12 @@ def scaling_benchmark(
     seed: int = 0,
     repeats: int = 5,
 ) -> dict:
-    """Wall time of forward+backward per batch size, plus doubling ratios."""
+    """Wall time of forward+backward per batch size, plus doubling ratios.
+    The net is initialised for the largest size, so deep nets stay finite."""
     from .unfold_net import init_params
 
-    params = init_params(list(view_dims), num_classes, seed=seed, num_layers=num_layers)
+    params = init_params(list(view_dims), num_classes, seed=seed, num_layers=num_layers,
+                         expected_rows=max(n_grid))
     rows = [ScalingRow(n=n, seconds=_forward_backward_seconds(params, n, seed, repeats))
             for n in n_grid]
     ratios = {

@@ -64,7 +64,6 @@ class TrainConfig:
     ablation: str = "full"
     normalize: bool = True
     warm_start: bool = False
-    fusion_snapshot_mode: str = "ema"
     precondition: bool = True
     threshold_step_scale: float | None = None
 
@@ -77,8 +76,6 @@ class TrainConfig:
             raise TrainerError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.layers < 1:
             raise TrainerError(f"layers must be >= 1, got {self.layers}")
-        if self.fusion_snapshot_mode not in ("ema", "final"):
-            raise TrainerError(f"unknown fusion_snapshot_mode {self.fusion_snapshot_mode!r}")
         self.mix.validate()
         self.loss.validate()
         self.admm.validate()
@@ -218,7 +215,6 @@ def train(
 
     centers: np.ndarray | None = None
     ema: np.ndarray | None = None
-    final_weights: np.ndarray | None = None
     log = TrainLog()
 
     for epoch in range(1, config.epochs + 1):
@@ -282,7 +278,6 @@ def train(
                 combined.labels[known_rows],
                 config.loss.center_lr,
             )
-            final_weights = res.weights
             ema = res.weights if ema is None else EMA_DECAY * ema + (1 - EMA_DECAY) * res.weights
             for key in sums:
                 sums[key] += parts[key]
@@ -301,9 +296,7 @@ def train(
             )
         )
 
-    snapshot = ema if config.fusion_snapshot_mode == "ema" else final_weights
-    snapshot = snapshot / snapshot.sum()
-    params.fusion_weights_snapshot = snapshot
+    params.fusion_weights_snapshot = ema / ema.sum()
     return params, CenterState(centers), log
 
 
@@ -335,7 +328,7 @@ def load_checkpoint(path) -> tuple[UnfoldParams, CenterState, dict]:
     version = payload.get("schema_version")
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(
-            f"checkpoint schema {version!r} does not match supported "
+            f"checkpoint {path}: schema {version!r} does not match supported "
             f"{CHECKPOINT_SCHEMA_VERSION!r}"
         )
     try:
@@ -359,8 +352,8 @@ def _check_param_shapes(params: UnfoldParams, path) -> None:
         found = params.named()
         square = [[np.broadcast_to(0.0, (c, c))] * views] * layers
         template = UnfoldParams(
-            params.view_dims, c, layers, r=square, u=square, m=square,
-            theta=np.zeros((layers, views)), rho=np.zeros((layers, views)),
+            params.view_dims, c, layers, r=square[1:], u=square, m=square[1:],
+            theta=np.zeros((layers, views)), rho=np.zeros((layers - 1, views)),
             d_init=[np.broadcast_to(0.0, (c, dim)) for dim in params.view_dims],
         )
     except (IndexError, ValueError) as exc:

@@ -10,10 +10,10 @@ reproduces one iteration of the non-learned alternating solver; during
 training all of R, U, M, theta, rho, and the initial dictionaries are
 free parameters.
 
-Only what reaches the fused code gets a gradient. Layer 0 starts from
-Z = 0 and skips Z R, so `r/0/*` always gets a zero gradient; the last
-layer's CD and DN outputs only feed the trace, so `m/{L-1}/*` and
-`rho/{L-1}/*` get a zero gradient in training.
+A network stores and runs only what reaches the fused code. Layer 0
+starts from Z = 0, so it has no R; the last layer runs RF only, as
+nothing reads a D or E it would refresh. An L-layer network holds U and
+theta for layers 0..L-1, R for 1..L-1, and M and rho for 0..L-2.
 
 Ablation modes: "no_cd_dn" freezes the dictionaries and drops the noise
 path entirely; "no_dn" keeps the dictionary refresh but clamps the noise
@@ -52,7 +52,8 @@ class StateError(RuntimeError):
 @dataclass
 class UnfoldParams:
     """Learnable per-view, per-layer parameter set plus frozen fusion weights.
-    `theta` and `rho` are (num_layers, n_views) arrays (converted on init)."""
+    `u[l]`, `theta[l]` belong to layer l, `r[l]` to layer l + 1, and `m[l]`,
+    `rho[l]` to layer l; `theta` and `rho` are 2-D arrays (converted on init)."""
 
     view_dims: list[int]
     num_classes: int
@@ -68,6 +69,8 @@ class UnfoldParams:
     ablation: str = "full"
 
     def __post_init__(self):
+        if self.num_layers < 1:
+            raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         self.theta = np.array(self.theta, dtype=np.float64)
@@ -84,17 +87,19 @@ class UnfoldParams:
         return "/".join((kind, *map(str, index)))
 
     def named(self) -> dict[str, np.ndarray]:
-        """Every parameter as a writable float64 array keyed by `key`, in
-        bind order: `d_init/*`, then per layer and view r, u, theta, m, rho.
+        """Every parameter as a writable float64 array keyed by `key`, in bind
+        order: `d_init/*`, then per layer and view its r, u, theta, m, rho.
         Thresholds are (1, 1) views, so writes update the parameter set."""
         out = {self.key("d_init", v): d for v, d in enumerate(self.d_init)}
         for l in range(self.num_layers):
             for v in range(self.n_views):
-                out[self.key("r", l, v)] = self.r[l][v]
+                if l > 0:
+                    out[self.key("r", l, v)] = self.r[l - 1][v]
                 out[self.key("u", l, v)] = self.u[l][v]
                 out[self.key("theta", l, v)] = self.theta[l : l + 1, v : v + 1]
-                out[self.key("m", l, v)] = self.m[l][v]
-                out[self.key("rho", l, v)] = self.rho[l : l + 1, v : v + 1]
+                if l < self.num_layers - 1:
+                    out[self.key("m", l, v)] = self.m[l][v]
+                    out[self.key("rho", l, v)] = self.rho[l : l + 1, v : v + 1]
         return out
 
     def clamp_thresholds(self) -> None:
@@ -138,7 +143,7 @@ def init_params(
     Z unknown, so its ridge stand-in for Z^T Z matters: pass the expected
     batch row count via `expected_rows` to keep multi-layer forwards
     well-scaled (Z^T Z grows linearly with the row count); without the hint
-    a tiny ridge is used, which is only safe for single-layer networks.
+    a tiny ridge is used, which is only safe for a 1-layer network (no M).
     """
     cfg = admm_config or AdmmConfig()
     view_dims = [int(d) for d in view_dims]
@@ -158,19 +163,19 @@ def init_params(
     eye = np.eye(c)
     l_p = [power_iteration_norm(dv @ dv.T) for dv in d_init]
 
-    def per_layer(make):
-        """Fresh (num_layers x views) values of `make(D_v, L_v)`."""
-        return [[make(dv, lp) for dv, lp in zip(d_init, l_p)] for _ in range(num_layers)]
+    def per_layer(make, layers=num_layers):
+        """Fresh (layers x views) values of `make(D_v, L_v)`."""
+        return [[make(dv, lp) for dv, lp in zip(d_init, l_p)] for _ in range(layers)]
 
     return UnfoldParams(
         view_dims=view_dims,
         num_classes=c,
         num_layers=num_layers,
-        r=per_layer(lambda dv, lp: eye - (dv @ dv.T) / lp),
+        r=per_layer(lambda dv, lp: eye - (dv @ dv.T) / lp, num_layers - 1),
         u=per_layer(lambda dv, lp: eye / lp),
-        m=per_layer(lambda dv, lp: eye / (cfg.beta + ridge)),
+        m=per_layer(lambda dv, lp: eye / (cfg.beta + ridge), num_layers - 1),
         theta=per_layer(lambda dv, lp: cfg.alpha / lp),
-        rho=per_layer(lambda dv, lp: cfg.gamma / lp),
+        rho=per_layer(lambda dv, lp: cfg.gamma / lp, num_layers - 1),
         d_init=d_init,
         group_axis=group_axis,
         ablation=ablation,
@@ -204,7 +209,7 @@ def _threshold(value, name: str) -> float:
 
 def rf_forward(z_prev, x, e_prev, d_prev, r, u, theta):
     """Code update: S_theta(Z R + (X - E) D^T U). `z_prev=None` and
-    `e_prev=None` mean zero; a zero code skips Z R and the sum."""
+    `e_prev=None` mean zero; a zero code skips Z R (`r` may be None)."""
     return tc.custom_op(_rf_kernel, z_prev, x, e_prev, d_prev, r, u, theta)
 
 
@@ -397,15 +402,13 @@ def forward(
     params: UnfoldParams,
     labels_for_fusion=None,
     inference: bool = False,
-    num_layers: int | None = None,
 ) -> ForwardResult:
     """Run the unrolled layers, then fuse the last layer's per-view codes.
 
-    State starts at Z = 0, E = 0, D = D_init; layer 0 skips Z R, so
-    `r/0/*` always gets a zero gradient. The views are fused once, after
-    the last layer; that layer's CD and DN outputs only feed the trace,
-    so `m/{L-1}/*` and `rho/{L-1}/*` get a zero gradient in training.
-    Weight source: the snapshot in inference mode (required),
+    State starts at Z = 0, E = 0, D = D_init; layer 0 has no Z R term.
+    The last layer runs RF only, so the last trace entry holds its code
+    and the D and E it read. The views are fused once, after the last
+    layer. Weight source: the snapshot in inference mode (required),
     label-derived weights when labels are supplied (falling back to
     uniform if fusion is infeasible), uniform otherwise.
 
@@ -415,9 +418,6 @@ def forward(
     views = batch.views if hasattr(batch, "views") else list(batch)
     if len(views) != params.n_views:
         raise tc.ShapeError(f"batch has {len(views)} views, params expect {params.n_views}")
-    layers = params.num_layers if num_layers is None else num_layers
-    if not 1 <= layers <= params.num_layers:
-        raise ValueError(f"num_layers must lie in [1, {params.num_layers}], got {layers}")
     if inference and params.fusion_weights_snapshot is None:
         raise StateError("inference requires a fusion weight snapshot; train first")
 
@@ -434,12 +434,14 @@ def forward(
     d = [p[key("d_init", v)] for v in range(v_count)]
 
     trace: list[LayerState] = []
-    for l in range(layers):
+    for l in range(params.num_layers):
         for v in range(v_count):
             z[v] = rf_forward(
                 z[v], x[v], e[v], d[v],
-                p[key("r", l, v)], p[key("u", l, v)], p[key("theta", l, v)],
+                p[key("r", l, v)] if l else None, p[key("u", l, v)], p[key("theta", l, v)],
             )
+            if l == params.num_layers - 1:
+                continue
             if params.ablation != "no_cd_dn":
                 d[v] = cd_forward(z[v], x[v], e[v], p[key("m", l, v)])
             if params.ablation == "full":

@@ -120,12 +120,16 @@ def forward(batch, params: UnfoldParams, labels_for_fusion=None) -> ForwardResul
     key = params.key
     d = [nodes[key("d_init", v)] for v in range(v_count)]
     trace = []
+    last = params.num_layers - 1
     for l in range(params.num_layers):
         for v in range(v_count):
             z[v] = rf_forward(
                 z[v], x[v], e[v], d[v],
-                nodes[key("r", l, v)], nodes[key("u", l, v)], nodes[key("theta", l, v)],
+                nodes[key("r", l, v)] if l else None, nodes[key("u", l, v)],
+                nodes[key("theta", l, v)],
             )
+            if l == last:
+                continue
             if params.ablation != "no_cd_dn":
                 d[v] = cd_forward(z[v], x[v], e[v], nodes[key("m", l, v)])
             if params.ablation == "full":

@@ -43,22 +43,27 @@ def analytic_params_from_oracle(
 
     Layer l uses R/U/theta from the pre-iteration dictionaries, M from the
     freshly updated codes, and rho from the post-refresh step constant, so
-    an L-layer forward of the returned params must reproduce L solver
-    iterations.
+    an L-layer forward of the returned params must reproduce the codes of
+    L solver iterations and the dictionaries and noise of the first L - 1.
+    As in the network, layer 0 has no R and the last layer no M or rho.
     """
     state = admm_oracle.init_state(x_views, config, code_dim)
     d0 = [d.copy() for d in state.d]
     eye = np.eye(code_dim)
     r, u, m, theta, rho = [], [], [], [], []
     snapshots = []
-    for _ in range(num_layers):
-        r.append([eye - (d @ d.T) / lp for d, lp in zip(state.d, state.l_p)])
+    for l in range(num_layers):
+        last = l == num_layers - 1
+        if l > 0:
+            r.append([eye - (d @ d.T) / lp for d, lp in zip(state.d, state.l_p)])
         u.append([eye / lp for lp in state.l_p])
         theta.append([config.alpha / lp for lp in state.l_p])
         state = admm_oracle.z_step(state, x_views, config)
-        m.append([np.linalg.inv(z.T @ z + config.beta * eye) for z in state.z])
+        if not last:
+            m.append([np.linalg.inv(z.T @ z + config.beta * eye) for z in state.z])
         state = admm_oracle.d_step(state, x_views, config)
-        rho.append([config.gamma / lp for lp in state.l_p])
+        if not last:
+            rho.append([config.gamma / lp for lp in state.l_p])
         state = admm_oracle.e_step(state, x_views, config)
         snapshots.append(
             {

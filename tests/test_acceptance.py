@@ -62,7 +62,9 @@ def test_criterion_2_unfolded_admm_equivalence():
     x_views = [rng.normal(size=(12, 9)), rng.normal(size=(12, 7))]
     cfg = ao.AdmmConfig(alpha=0.15, beta=0.4, gamma=0.6, seed=14)
     worst_stack = 0.0
-    for layers in (1, 2, 4):
+    # z of every layer; d and e of every layer but the last, which runs RF
+    # only: 5 layers cover d and e of solver iterations 1-4
+    for layers in (1, 2, 4, 5):
         params, snapshots = analytic_params_from_oracle(x_views, cfg, 5, layers)
         batch = Batch(
             views=x_views,
@@ -72,8 +74,8 @@ def test_criterion_2_unfolded_admm_equivalence():
         res = forward(batch, params)
         for l in range(layers):
             for v in range(2):
-                for key, mine in (("z", res.trace[l].z[v]), ("d", res.trace[l].d[v]),
-                                  ("e", res.trace[l].e[v])):
+                for key in "zde" if l < layers - 1 else "z":
+                    mine = getattr(res.trace[l], key)[v]
                     worst_stack = max(
                         worst_stack, float(np.max(np.abs(mine - snapshots[l][key][v])))
                     )
@@ -188,7 +190,7 @@ def test_criterion_5_gradient_bound_every_batch(canonical_run):
 
 
 def test_criterion_6_contraction():
-    params = init_params([16, 12], 6, seed=123, num_layers=1)
+    params = init_params([16, 12], 6, seed=123, num_layers=2)
     reports = []
     for view in range(2):
         rep = contraction_diagnostic(params, view=view, trials=1000, seed=view)

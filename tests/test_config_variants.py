@@ -54,9 +54,10 @@ def test_normalized_pipeline_roundtrip():
 def test_truncated_forward_layers():
     dataset, _ = synthgen.generate(small_spec())
     batch = batch_from_dataset(dataset, range(6))
-    params = init_params(dataset.view_dims, dataset.class_count, seed=5, num_layers=3)
-    res1 = forward(batch, params, num_layers=1)
-    res3 = forward(batch, params)
+    # a 1-layer net is the first layer of a deeper net built from the same seed
+    res1 = forward(batch, init_params(dataset.view_dims, dataset.class_count, seed=5))
+    res3 = forward(batch, init_params(dataset.view_dims, dataset.class_count, seed=5,
+                                      num_layers=3))
     assert len(res1.trace) == 1
     assert len(res3.trace) == 3
     assert np.array_equal(res1.trace[0].z[0], res3.trace[0].z[0])
