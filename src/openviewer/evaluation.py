@@ -13,6 +13,9 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +40,8 @@ class EvalConfig:
             raise MetricError(f"score must be 'softmax' or 'norm', got {self.score!r}")
 
 
-@dataclass
-class ScoredPrediction:
+class ScoredPrediction(NamedTuple):
+    """One scored test row; every field is a plain Python scalar."""
     index: int
     predicted: int
     confidence: float
@@ -90,7 +93,7 @@ def score_with_codes(
     work = dataset
     if normalize:
         work, _ = zscore_normalize(dataset, split.train_idx)
-    rows = np.asarray(split.test_idx if indices is None else indices, dtype=np.intp)
+    rows = _checked_indices(split.test_idx if indices is None else indices, dataset.n_samples)
     batch = Batch(
         views=[v[rows] for v in work.views],
         labels=work.labels[rows],
@@ -105,18 +108,34 @@ def score_with_codes(
     if cfg.score == "norm":
         norms = np.linalg.norm(fused, axis=1)
         confidence = norms / (1.0 + norms)
-    unknown = set(split.unknown_classes)
-    preds = [
-        ScoredPrediction(
-            index=int(i),
-            predicted=int(known[c]),
-            confidence=float(s),
-            true_label=int(t),
-            is_unknown_truth=bool(int(t) in unknown),
+    # one Python list per field, then every row in one C-level pass
+    labels = batch.labels.tolist()
+    cols = (
+        rows.tolist(),
+        np.asarray(known)[classes].tolist(),
+        confidence.tolist(),
+        labels,
+        map(set(split.unknown_classes).__contains__, labels),
+    )
+    return list(map(tuple.__new__, repeat(ScoredPrediction), zip(*cols))), fused
+
+
+def _checked_indices(indices, n_samples: int) -> np.ndarray:
+    """`indices` as a 1-D intp array of row numbers in [0, n_samples)."""
+    rows = np.asarray(indices)
+    if rows.ndim != 1:
+        raise MetricError(f"indices must be 1-D, got shape {rows.shape}")
+    if rows.dtype.kind in "iu":
+        bad = rows[(rows < 0) | (rows >= n_samples)]
+        what = f"outside [0, {n_samples})"
+    else:
+        bad = rows
+        what = f"not integers ({rows.dtype})"
+    if bad.size:
+        raise MetricError(
+            f"indices: {bad.size} of {rows.size} entries {what}, first {bad[:5].tolist()}"
         )
-        for i, c, s, t in zip(rows, classes, confidence, batch.labels)
-    ]
-    return preds, fused
+    return rows.astype(np.intp, copy=False)
 
 
 def oscr_curve(preds: list[ScoredPrediction]) -> OscrCurve:
@@ -125,19 +144,19 @@ def oscr_curve(preds: list[ScoredPrediction]) -> OscrCurve:
     The counts at or above each threshold come from sorted confidences
     and `np.searchsorted`; CCR and FPR are those counts divided by the
     number of known and unknown samples."""
-    known = [p for p in preds if not p.is_unknown_truth]
-    unknown = [p for p in preds if p.is_unknown_truth]
-    if not known or not unknown:
+    unknown = _column(preds, "is_unknown_truth", bool)
+    if unknown.all() or not unknown.any():
         raise MetricError("OSCR needs at least one known-truth and one unknown-truth sample")
-    thresholds = np.unique([p.confidence for p in preds])[::-1]
+    confidence = _column(preds, "confidence", np.float64)
+    thresholds = np.unique(confidence)[::-1]
 
-    def share_at_or_above(conf: list[float], total: int) -> np.ndarray:
-        ordered = np.sort(np.asarray(conf, dtype=np.float64))
+    def share_at_or_above(conf: np.ndarray, total: int) -> np.ndarray:
+        ordered = np.sort(conf)
         return (ordered.size - np.searchsorted(ordered, thresholds, side="left")) / total
 
-    correct = [p.confidence for p in known if p.predicted == p.true_label]
-    ccr = share_at_or_above(correct, len(known))
-    fpr = share_at_or_above([p.confidence for p in unknown], len(unknown))
+    correct = ~unknown & (_column(preds, "predicted", int) == _column(preds, "true_label", int))
+    ccr = share_at_or_above(confidence[correct], np.count_nonzero(~unknown))
+    fpr = share_at_or_above(confidence[unknown], np.count_nonzero(unknown))
     return OscrCurve(points=list(zip(thresholds.tolist(), ccr.tolist(), fpr.tolist())))
 
 
@@ -151,6 +170,12 @@ def ccr_at_fpr(curve: OscrCurve, target_fpr: float) -> float:
 
 def summary(curve: OscrCurve, targets=(0.005, 0.01, 0.05, 0.1, 0.5)) -> dict[str, float]:
     return {f"ccr_at_fpr_{t:g}": ccr_at_fpr(curve, t) for t in targets}
+
+
+def _column(preds: list[ScoredPrediction], name: str, dtype) -> np.ndarray:
+    """Field `name` of every row as an array, in one C-level pass."""
+    field_of = itemgetter(ScoredPrediction._fields.index(name))
+    return np.fromiter(map(field_of, preds), dtype, len(preds))
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,11 @@ def _check_param_shapes(params: UnfoldParams, path) -> None:
     and num_layers say. Expected shapes come from read-only broadcast
     arrays, so no size read from the file is ever allocated."""
     c, layers, views = params.num_classes, params.num_layers, params.n_views
+    # named() keys d_init by the entries the file holds, so count them first
+    if len(params.d_init) != views:
+        raise CheckpointError(
+            f"checkpoint {path}: d_init holds {len(params.d_init)} views, expected {views}"
+        )
     try:
         found = params.named()
         square = [[np.broadcast_to(0.0, (c, c))] * views] * layers
@@ -366,6 +371,18 @@ def _check_param_shapes(params: UnfoldParams, path) -> None:
             )
         if not np.all(np.isfinite(have)):
             raise CheckpointError(f"checkpoint {path}: {name} has non-finite entries")
+    # named() reads only the layers and views it expects, so surplus ones are counted here
+    counts = []
+    for kind, want in (("r", layers - 1), ("u", layers), ("m", layers - 1),
+                       ("theta", layers), ("rho", layers - 1)):
+        entries = getattr(params, kind)
+        counts.append((kind, "layers", len(entries), want))
+        counts += [(f"{kind}[{l}]", "views", len(row), views) for l, row in enumerate(entries)]
+    for field_name, what, have, want in counts:
+        if have != want:
+            raise CheckpointError(
+                f"checkpoint {path}: {field_name} holds {have} {what}, expected {want}"
+            )
     snapshot = params.fusion_weights_snapshot
     if snapshot is not None and snapshot.shape != (params.n_views,):
         raise CheckpointError(

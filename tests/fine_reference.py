@@ -11,14 +11,24 @@ same way, to check the gradient accumulation order across modules.
 before it carried the matrix-vector product from one step to the next:
 two products per step and `np.linalg.norm`. The package's one-product
 loop must return the same bits and raise the same errors.
+
+`score_with_codes` and `oscr_curve` are the open-set evaluation as it was
+written before it worked on columns: one dataclass per test row, built
+from numpy scalars, then walked attribute by attribute. The package's
+columnar path must give equal rows (with the same Python types) and equal
+OSCR points.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 import openviewer.tensor_core as tc
 from openviewer.admm_oracle import PowerIterationError
+from openviewer.dataset import Batch, zscore_normalize
+from openviewer.evaluation import EvalConfig, MetricError, OscrCurve
 from openviewer.losses import LossError, _one_hot
 from openviewer.unfold_net import (
     MIN_CENTROID_DISTANCE,
@@ -27,7 +37,9 @@ from openviewer.unfold_net import (
     LayerState,
     UnfoldParams,
     _bind_params,
+    predict,
 )
+from openviewer.unfold_net import forward as inference_forward
 
 
 def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> float:
@@ -191,3 +203,63 @@ def total_loss(z_fused: tc.DiffNode, labels, is_pseudo, centers, config):
         total = tc.add(total, tc.scale(cen, config.lambda2))
     parts["total"] = total.item()
     return total, parts
+
+
+@dataclass
+class ScoredPrediction:
+    index: int
+    predicted: int
+    confidence: float
+    true_label: int
+    is_unknown_truth: bool
+
+
+def score_with_codes(params, dataset, split, config=None, normalize=True, indices=None):
+    """One row object per test sample, each field cast from a numpy scalar."""
+    cfg = config or EvalConfig()
+    known = sorted(split.known_classes)
+    work = dataset
+    if normalize:
+        work, _ = zscore_normalize(dataset, split.train_idx)
+    rows = np.asarray(split.test_idx if indices is None else indices, dtype=np.intp)
+    batch = Batch(
+        views=[v[rows] for v in work.views],
+        labels=work.labels[rows],
+        is_pseudo=np.zeros(rows.size, dtype=bool),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        fused = inference_forward(batch, params, inference=True).z_fused
+    classes, confidence = predict(fused)
+    if cfg.score == "norm":
+        norms = np.linalg.norm(fused, axis=1)
+        confidence = norms / (1.0 + norms)
+    unknown = set(split.unknown_classes)
+    preds = [
+        ScoredPrediction(
+            index=int(i),
+            predicted=int(known[c]),
+            confidence=float(s),
+            true_label=int(t),
+            is_unknown_truth=bool(int(t) in unknown),
+        )
+        for i, c, s, t in zip(rows, classes, confidence, batch.labels)
+    ]
+    return preds, fused
+
+
+def oscr_curve(preds) -> OscrCurve:
+    known = [p for p in preds if not p.is_unknown_truth]
+    unknown = [p for p in preds if p.is_unknown_truth]
+    if not known or not unknown:
+        raise MetricError("OSCR needs at least one known-truth and one unknown-truth sample")
+    thresholds = np.unique([p.confidence for p in preds])[::-1]
+
+    def share_at_or_above(conf, total):
+        ordered = np.sort(np.asarray(conf, dtype=np.float64))
+        return (ordered.size - np.searchsorted(ordered, thresholds, side="left")) / total
+
+    correct = [p.confidence for p in known if p.predicted == p.true_label]
+    ccr = share_at_or_above(correct, len(known))
+    fpr = share_at_or_above([p.confidence for p in unknown], len(unknown))
+    return OscrCurve(points=list(zip(thresholds.tolist(), ccr.tolist(), fpr.tolist())))
+

@@ -169,6 +169,37 @@ class TestPipeline:
         sim = np.loadtxt(ev_dir / "similarity.csv", delimiter=",")
         assert sim.shape == (fused.shape[0], fused.shape[0])
 
+    def test_eval_outputs_match_per_row_reference(self, workspace):
+        from openviewer._io import canonical_json, float_repr
+        from openviewer.dataset import OpennessSplit, load
+        from openviewer.evaluation import EvalConfig, summary as ccr_summary
+        from openviewer.trainer import load_checkpoint
+
+        import fine_reference as ref
+
+        tmp_path, cfg, data_dir = workspace
+        run, ev_dir = tmp_path / "run", tmp_path / "eval"
+        common = ["--manifest", str(data_dir / "manifest.json"),
+                  "--split", str(tmp_path / "split.json"), "--config", str(cfg), "--quiet"]
+        assert main(["train", *common, "--out", str(run)]) == 0
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                     *common, "--out", str(ev_dir)]) == 0
+
+        params, _, train_cfg = load_checkpoint(run / "checkpoint.json")
+        split = OpennessSplit.from_json((tmp_path / "split.json").read_text())
+        eval_cfg = EvalConfig(fpr_targets=(0.05, 0.1, 0.5))
+        preds, _ = ref.score_with_codes(params, load(data_dir / "manifest.json"), split,
+                                        eval_cfg, normalize=train_cfg["normalize"])
+        curve = ref.oscr_curve(preds)
+        lines = ["threshold,ccr,fpr"]
+        lines += [f"{float_repr(t)},{float_repr(c)},{float_repr(f)}" for t, c, f in curve.points]
+        summary = ccr_summary(curve, eval_cfg.fpr_targets)
+        hits = [p.predicted == p.true_label for p in preds if not p.is_unknown_truth]
+        summary["known_accuracy"] = float(np.mean(hits)) if hits else 0.0
+        summary["n_test"] = len(preds)
+        assert (ev_dir / "oscr_curve.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert (ev_dir / "summary.json").read_bytes() == canonical_json(summary).encode()
+
     def test_eval_of_non_finite_codes_is_runtime_error(self, workspace, caplog):
         tmp_path, cfg, data_dir = workspace
         run = tmp_path / "run"

@@ -13,9 +13,13 @@ from openviewer.evaluation import (
     oscr_curve,
     scaling_benchmark,
     score_test_set,
+    score_with_codes,
+    summary,
 )
+from openviewer.admm_oracle import AdmmConfig
 from openviewer.dataset import openness_split
-from openviewer.losses import CenterState
+from openviewer.losses import CenterState, LossConfig
+from openviewer.trainer import TrainConfig, train
 from openviewer.unfold_net import forward, init_params
 
 import fine_reference as ref
@@ -200,6 +204,124 @@ class TestScoreTestSet:
             config=EvalConfig(score="norm"), normalize=False,
         )
         assert all(0.0 <= p.confidence < 1.0 for p in preds)
+
+    @pytest.mark.parametrize("indices, message", [
+        ([3, -1, -5], r"indices: 2 of 3 entries outside \[0, 40\), first \[-1, -5\]"),
+        ([0, 40, 39], r"indices: 1 of 3 entries outside \[0, 40\), first \[40\]"),
+        (list(range(-7, 0)), r"indices: 7 of 7 entries .* first \[-7, -6, -5, -4, -3\]$"),
+        ([[0, 1], [2, 3]], r"indices must be 1-D, got shape \(2, 2\)"),
+        ([0.0, 1.5], r"indices: 2 of 2 entries not integers \(float64\), first \[0.0, 1.5\]"),
+        ([True, False], r"indices: 2 of 2 entries not integers \(bool\)"),
+    ])
+    def test_bad_indices_raise(self, indices, message):
+        dataset, split, params, centers = self._setup()
+        assert dataset.n_samples == 40
+        with pytest.raises(MetricError, match=message):
+            score_test_set(params, centers, dataset, split, normalize=False, indices=indices)
+
+    def test_indices_of_any_integer_dtype(self):
+        dataset, split, params, centers = self._setup()
+        for dtype in (np.int32, np.uint16, np.int64):
+            preds = score_test_set(params, centers, dataset, split, normalize=False,
+                                   indices=np.array([39, 0, 7, 7], dtype=dtype))
+            assert [p.index for p in preds] == [39, 0, 7, 7]
+            assert all(type(p.index) is int for p in preds)
+
+
+def assert_rows_match(rows, ref_rows):
+    """Equal fields, every one a plain Python int, float or bool."""
+    assert len(rows) == len(ref_rows)
+    kinds = (int, int, float, int, bool)
+    for row, old in zip(rows, ref_rows):
+        assert type(row) is ScoredPrediction
+        for name, kind in zip(ScoredPrediction._fields, kinds):
+            new_value, old_value = getattr(row, name), getattr(old, name)
+            assert type(new_value) is kind and type(old_value) is kind, name
+            assert new_value == old_value, name
+
+
+TARGETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.3, 0.5, 1.0)
+
+
+def assert_sweep_matches(preds):
+    """OSCR points equal to the per-row reference's, so the summaries are too."""
+    curve = oscr_curve(preds)
+    assert curve.points == ref.oscr_curve(preds).points
+    assert all(type(x) is float for point in curve.points for x in point)
+    assert all(type(v) is float for v in summary(curve, TARGETS).values())
+    return curve
+
+
+@pytest.fixture(scope="module")
+def trained():
+    spec = small_spec(samples_per_class=12, sep_scale=1.0, jitter=0.08,
+                      noise_magnitude=0.5, seed=3)
+    dataset, _ = synthgen.generate(spec)
+    split = openness_split(dataset, 0.2, (0.5, 0.1, 0.4), seed=3)
+    config = TrainConfig(
+        epochs=4, batch_size=16, learning_rate=0.02, layers=2, seed=3,
+        loss=LossConfig(xi=0.3, lambda1=0.1, lambda2=0.1),
+        admm=AdmmConfig(alpha=0.01, beta=0.1, gamma=2.0), threshold_step_scale=0.01,
+    )
+    params, _, _ = train(dataset, split, config)
+    return dataset, split, params
+
+
+class TestColumnarMatchesReference:
+    @pytest.mark.parametrize("score", ["softmax", "norm"])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_trained_model(self, trained, score, normalize):
+        dataset, split, params = trained
+        config = EvalConfig(score=score)
+        preds, fused = score_with_codes(params, dataset, split, config, normalize)
+        ref_preds, ref_fused = ref.score_with_codes(params, dataset, split, config, normalize)
+        assert np.array_equal(fused, ref_fused)
+        assert_rows_match(preds, ref_preds)
+        assert {p.is_unknown_truth for p in preds} == {True, False}
+        assert_sweep_matches(preds)
+
+    def test_trained_model_in_chunks(self, trained):
+        dataset, split, params = trained
+        test = np.asarray(split.test_idx)
+        for chunk in (test[::-1], test[:7], np.repeat(test[:3], 2)):
+            preds, _ = score_with_codes(params, dataset, split, indices=chunk)
+            ref_preds, _ = ref.score_with_codes(params, dataset, split, indices=chunk)
+            assert_rows_match(preds, ref_preds)
+
+    def test_random_predictions_with_ties(self):
+        rng = np.random.default_rng(5)
+        tied = 0
+        for _ in range(200):
+            preds = random_predictions(rng, n=int(rng.integers(2, 60)))
+            # one decimal: most sets tie known and unknown rows on a threshold
+            preds = [p._replace(confidence=round(p.confidence, 1)) for p in preds]
+            tied += len({p.confidence for p in preds}) < len(preds)
+            assert_sweep_matches(preds)
+        assert tied > 150
+
+    def test_all_correct_and_none_correct(self):
+        rng = np.random.default_rng(6)
+        for correct in (True, False):
+            preds = [pred(float(np.round(rng.random(), 2)), bool(i % 3 == 0), correct, idx=i)
+                     for i in range(40)]
+            curve = assert_sweep_matches(preds)
+            assert curve.points[-1][1] == (1.0 if correct else 0.0)
+
+    def test_single_unknown_row(self):
+        preds = [pred(0.9, False), pred(0.4, False, correct=False), pred(0.6, True, idx=2)]
+        curve = assert_sweep_matches(preds)
+        assert [fpr for _, _, fpr in curve.points] == [0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("preds", [
+        [],
+        [pred(0.5, False), pred(0.7, False)],
+        [pred(0.5, True), pred(0.7, True)],
+    ])
+    def test_degenerate_sets_raise_like_reference(self, preds):
+        with pytest.raises(MetricError, match="at least one known-truth and one unknown-truth"):
+            oscr_curve(preds)
+        with pytest.raises(MetricError, match="at least one known-truth and one unknown-truth"):
+            ref.oscr_curve(preds)
 
 
 class TestContractionDiagnostic:

@@ -240,6 +240,31 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=r"ckpt\.json.*theta/1/0"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, grow, message", [
+        ("u", lambda p: p["u"].append(p["u"][-1]), r"u holds 3 layers, expected 2"),
+        ("theta", lambda p: p["theta"].append(p["theta"][-1]), r"theta holds 3 layers, expected 2"),
+        ("d_init", lambda p: p["d_init"].append(p["d_init"][-1]), r"d_init holds 3 views, expected 2"),
+        ("r", lambda p: p["r"][0].append(p["r"][0][0]), r"r\[0\] holds 3 views, expected 2"),
+        ("rho", lambda p: p["rho"][0].append(0.1), r"rho\[0\] holds 3 views, expected 2"),
+        ("m", lambda p: p["m"].append(p["m"][0]), r"m holds 2 layers, expected 1"),
+    ])
+    def test_surplus_entries_rejected(self, tmp_path, field, grow, message):
+        params, _, _, path = self._trained(tmp_path)
+        assert (params.num_layers, params.n_views) == (2, 2)
+        payload = json.loads(path.read_text())
+        grow(payload["params"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=r"ckpt\.json: " + message):
+            load_checkpoint(path)
+
+    def test_missing_view_rejected(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["params"]["d_init"].pop()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=r"ckpt\.json: d_init holds 1 views, expected 2"):
+            load_checkpoint(path)
+
     def test_zero_layers_rejected_at_load(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
         payload = json.loads(path.read_text())
