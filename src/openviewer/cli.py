@@ -9,7 +9,6 @@ flags, and input files; outputs are written atomically.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import json
 import logging
@@ -275,30 +274,22 @@ def run_gradcheck(seed: int = 7, eps: float = 1e-5):
     rng = np.random.default_rng([seed, 903])
     centers = rng.normal(size=(5, 5)) * 0.3
 
-    def loss(trial):
-        res = forward(combined, trial, labels_for_fusion=combined.labels)
+    def loss():
+        res = forward(combined, params, labels_for_fusion=combined.labels)
         node, _ = total_loss(res.z_fused, combined.labels, combined.is_pseudo, centers, loss_cfg)
         return node, res.param_nodes
 
     # analytic gradients come from the bound parameter nodes; the
     # finite-difference twin perturbs raw entries through the whole pipeline
-    root, param_nodes = loss(params)
+    root, param_nodes = loss()
     tc.backward(root)
 
-    per_param = {}
-    grad_norms = {}
-    for name, node in param_nodes.items():
-        grad_norms[name] = float(np.linalg.norm(node.grad))
-        err_max = 0.0
-        for j, analytic in enumerate(node.grad.flat):
-            vals = []
-            for sign in (1.0, -1.0):
-                trial = copy.deepcopy(params)
-                trial.named()[name].flat[j] += sign * eps
-                vals.append(loss(trial)[0].item())
-            central = (vals[0] - vals[1]) / (2 * eps)
-            err_max = max(err_max, abs(analytic - central) / max(1.0, abs(central)))
-        per_param[name] = err_max
+    arrays = params.named()
+    per_param = {
+        name: tc.central_difference_error(lambda: loss()[0].item(), arrays[name], node.grad, eps)
+        for name, node in param_nodes.items()
+    }
+    grad_norms = {name: float(np.linalg.norm(node.grad)) for name, node in param_nodes.items()}
     return max(per_param.values()), per_param, grad_norms
 
 

@@ -55,10 +55,10 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 # Each term is a private kernel on a plain array: it returns the 1x1 value
 # and a VJP that lists the term's contributions to the gradient of its
-# input, in the order a fine-grained graph (`tc.row_log_softmax`,
-# `tc.row_l2_norms`, `tc.relu`, ...) would add them. `known_loss`,
-# `unknown_loss` and `center_loss` wrap one kernel each as a tape op;
-# `total_loss` builds a single op from all three.
+# input, in the order a fine-grained graph (`row_log_softmax`,
+# `row_l2_norms`, `relu`, ... in `tests/fine_ops.py`) would add them.
+# `known_loss`, `unknown_loss` and `center_loss` wrap one kernel each as a
+# tape op; `total_loss` builds a single op from all three.
 
 
 def _log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

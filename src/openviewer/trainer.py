@@ -344,15 +344,26 @@ def load_checkpoint(path) -> tuple[UnfoldParams, CenterState, dict]:
 
 
 def _check_param_shapes(params: UnfoldParams, path) -> None:
-    """Every parameter must be finite and shaped as view_dims, num_classes
+    """Every parameter list must hold num_layers layers of n_views views,
+    and every parameter must be finite and shaped as view_dims, num_classes
     and num_layers say. Expected shapes come from read-only broadcast
     arrays, so no size read from the file is ever allocated."""
     c, layers, views = params.num_classes, params.num_layers, params.n_views
-    # named() keys d_init by the entries the file holds, so count them first
-    if len(params.d_init) != views:
-        raise CheckpointError(
-            f"checkpoint {path}: d_init holds {len(params.d_init)} views, expected {views}"
-        )
+    # count first: named() and the shape loop index by the expected counts
+    counts = [("d_init", "views", len(params.d_init), views)]
+    try:
+        for kind, want in (("r", layers - 1), ("u", layers), ("m", layers - 1),
+                           ("theta", layers), ("rho", layers - 1)):
+            entries = getattr(params, kind)
+            counts.append((kind, "layers", len(entries), want))
+            counts += [(f"{kind}[{l}]", "views", len(row), views) for l, row in enumerate(entries)]
+    except TypeError as exc:  # theta or rho is not 2-D
+        raise CheckpointError(f"checkpoint {path}: malformed parameters: {exc}") from exc
+    for field_name, what, have, want in counts:
+        if have != want:
+            raise CheckpointError(
+                f"checkpoint {path}: {field_name} holds {have} {what}, expected {want}"
+            )
     try:
         found = params.named()
         square = [[np.broadcast_to(0.0, (c, c))] * views] * layers
@@ -371,18 +382,6 @@ def _check_param_shapes(params: UnfoldParams, path) -> None:
             )
         if not np.all(np.isfinite(have)):
             raise CheckpointError(f"checkpoint {path}: {name} has non-finite entries")
-    # named() reads only the layers and views it expects, so surplus ones are counted here
-    counts = []
-    for kind, want in (("r", layers - 1), ("u", layers), ("m", layers - 1),
-                       ("theta", layers), ("rho", layers - 1)):
-        entries = getattr(params, kind)
-        counts.append((kind, "layers", len(entries), want))
-        counts += [(f"{kind}[{l}]", "views", len(row), views) for l, row in enumerate(entries)]
-    for field_name, what, have, want in counts:
-        if have != want:
-            raise CheckpointError(
-                f"checkpoint {path}: {field_name} holds {have} {what}, expected {want}"
-            )
     snapshot = params.fusion_weights_snapshot
     if snapshot is not None and snapshot.shape != (params.n_views,):
         raise CheckpointError(

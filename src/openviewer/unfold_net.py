@@ -187,9 +187,9 @@ def init_params(
 #
 # Each module is one tape op (`tc.custom_op`): a numpy kernel plus a
 # hand-written VJP. The VJPs repeat the float operations, operand layouts
-# and accumulation order of the equivalent fine-grained graph (`tc.sub`,
-# `tc.transpose`, `tc.matmul`, ...), so gradients match it bitwise. Plain
-# arrays in give a plain array out, with nothing recorded.
+# and accumulation order of the equivalent fine-grained graph (`sub`,
+# `transpose`, `matmul`, ... in `tests/fine_ops.py`), so gradients match it
+# bitwise. Plain arrays in give a plain array out, with nothing recorded.
 
 
 def _residual(x, e_prev, op: str):

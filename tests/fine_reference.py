@@ -1,5 +1,5 @@
 """Bitwise references: the network modules and loss terms composed from
-fine-grained `tensor_core` ops, one tape node per elementary step.
+the fine-grained ops of `fine_ops`, one tape node per elementary step.
 
 The package builds each module and loss term as a single tape op with a
 hand-written VJP that must reproduce these graphs exactly: the same
@@ -12,6 +12,11 @@ before it carried the matrix-vector product from one step to the next:
 two products per step and `np.linalg.norm`. The package's one-product
 loop must return the same bits and raise the same errors.
 
+`run_gradcheck` is the CLI's gradient audit as it was written before it
+shared `tc.central_difference_error`: two deep copies of the whole
+parameter set per checked entry. The package's in-place audit must report
+the same errors and gradient norms.
+
 `score_with_codes` and `oscr_curve` are the open-set evaluation as it was
 written before it worked on columns: one dataclass per test row, built
 from numpy scalars, then walked attribute by attribute. The package's
@@ -21,15 +26,17 @@ OSCR points.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 import openviewer.tensor_core as tc
 from openviewer.admm_oracle import PowerIterationError
+from openviewer.cli import build_gradcheck_scenario
 from openviewer.dataset import Batch, zscore_normalize
 from openviewer.evaluation import EvalConfig, MetricError, OscrCurve
-from openviewer.losses import LossError, _one_hot
+from openviewer.losses import LossConfig, LossError, _one_hot, total_loss
 from openviewer.unfold_net import (
     MIN_CENTROID_DISTANCE,
     FusionError,
@@ -39,7 +46,9 @@ from openviewer.unfold_net import (
     _bind_params,
     predict,
 )
-from openviewer.unfold_net import forward as inference_forward
+from openviewer.unfold_net import forward as package_forward
+
+import fine_ops as fo
 
 
 def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> float:
@@ -70,20 +79,20 @@ def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 10
 
 
 def rf_forward(z_prev, x, e_prev, d_prev, r, u, theta) -> tc.DiffNode:
-    resid = x if e_prev is None else tc.sub(x, e_prev)
-    pre = tc.matmul(tc.matmul(resid, tc.transpose(d_prev)), u)
+    resid = x if e_prev is None else fo.sub(x, e_prev)
+    pre = fo.matmul(fo.matmul(resid, fo.transpose(d_prev)), u)
     if z_prev is not None:
-        pre = tc.add(tc.matmul(z_prev, r), pre)
-    return tc.soft_threshold(pre, theta)
+        pre = fo.add(fo.matmul(z_prev, r), pre)
+    return fo.soft_threshold(pre, theta)
 
 
 def cd_forward(z, x, e_prev, m) -> tc.DiffNode:
-    resid = x if e_prev is None else tc.sub(x, e_prev)
-    return tc.matmul(m, tc.matmul(tc.transpose(z), resid))
+    resid = x if e_prev is None else fo.sub(x, e_prev)
+    return fo.matmul(m, fo.matmul(fo.transpose(z), resid))
 
 
 def dn_forward(x, z, d, rho, axis: str = "columns") -> tc.DiffNode:
-    return tc.group_soft_threshold(tc.sub(x, tc.matmul(z, d)), rho, axis=axis)
+    return fo.group_soft_threshold(fo.sub(x, fo.matmul(z, d)), rho, axis=axis)
 
 
 def fusion_weights(z_views, labels) -> tc.DiffNode:
@@ -96,29 +105,29 @@ def fusion_weights(z_views, labels) -> tc.DiffNode:
     for gi, g in enumerate(groups):
         rows = labels == g
         averaging[gi, rows] = 1.0 / rows.sum()
-    avg_node = tc.constant(averaging)
+    avg_node = tc.leaf(averaging)
     first, second = np.triu_indices(groups.size, k=1)
 
     min_dists = []
     for z in z_views:
-        centroids = tc.matmul(avg_node, z)
+        centroids = fo.matmul(avg_node, z)
         diffs = centroids.value[first] - centroids.value[second]
         k = int(np.argmin(np.sum(diffs * diffs, axis=1)))
-        diff = tc.sub(tc.take_rows(centroids, [first[k]]), tc.take_rows(centroids, [second[k]]))
-        best = tc.frobenius_sq(diff)
-        min_dists.append(tc.sqrt(tc.clamp_min(best, MIN_CENTROID_DISTANCE**2)))
+        diff = fo.sub(fo.take_rows(centroids, [first[k]]), fo.take_rows(centroids, [second[k]]))
+        best = fo.frobenius_sq(diff)
+        min_dists.append(fo.sqrt(fo.clamp_min(best, MIN_CENTROID_DISTANCE**2)))
 
-    dvec = tc.hstack(min_dists)
-    inv = tc.reciprocal(dvec)
-    dbar = tc.mul_scalar_node(inv, tc.reciprocal(tc.sum(inv)))
-    return tc.row_softmax(tc.scale(dbar, -1.0))
+    dvec = fo.hstack(min_dists)
+    inv = fo.reciprocal(dvec)
+    dbar = fo.mul_scalar_node(inv, fo.reciprocal(fo.sum(inv)))
+    return fo.row_softmax(fo.scale(dbar, -1.0))
 
 
 def weighted_sum(w: tc.DiffNode, z_views) -> tc.DiffNode:
-    w_cols = tc.transpose(w)
-    z_fused = tc.mul_scalar_node(z_views[0], tc.take_rows(w_cols, [0]))
+    w_cols = fo.transpose(w)
+    z_fused = fo.mul_scalar_node(z_views[0], fo.take_rows(w_cols, [0]))
     for v in range(1, len(z_views)):
-        z_fused = tc.add(z_fused, tc.mul_scalar_node(z_views[v], tc.take_rows(w_cols, [v])))
+        z_fused = fo.add(z_fused, fo.mul_scalar_node(z_views[v], fo.take_rows(w_cols, [v])))
     return z_fused
 
 
@@ -126,7 +135,7 @@ def forward(batch, params: UnfoldParams, labels_for_fusion=None) -> ForwardResul
     """The training forward with every step on the tape."""
     nodes = _bind_params(params)
     v_count = params.n_views
-    x = [tc.constant(v) for v in batch.views]
+    x = [tc.leaf(v) for v in batch.views]
     z = [None] * v_count
     e = [None] * v_count
     key = params.key
@@ -148,7 +157,7 @@ def forward(batch, params: UnfoldParams, labels_for_fusion=None) -> ForwardResul
                 e[v] = dn_forward(x[v], z[v], d[v], nodes[key("rho", l, v)], params.group_axis)
         trace.append(LayerState(z=[zv.value for zv in z], d=[dv.value for dv in d], e=[]))
 
-    uniform = tc.constant(np.full((1, v_count), 1.0 / v_count))
+    uniform = tc.leaf(np.full((1, v_count), 1.0 / v_count))
     if labels_for_fusion is None:
         w = uniform
     else:
@@ -163,24 +172,24 @@ def forward(batch, params: UnfoldParams, labels_for_fusion=None) -> ForwardResul
 
 def known_loss(z_known: tc.DiffNode, labels, xi: float) -> tc.DiffNode:
     n, c = z_known.value.shape
-    onehot = tc.constant(_one_hot(labels, c))
-    log_p = tc.row_log_softmax(z_known)
-    ce = tc.scale(tc.sum(tc.mul_elem(onehot, log_p)), -1.0 / n)
-    hinge = tc.relu(tc.add_scalar(tc.scale(tc.row_l2_norms(z_known), -1.0), xi))
-    margin = tc.sum(tc.mul_elem(hinge, hinge))
-    return tc.add(ce, margin)
+    onehot = tc.leaf(_one_hot(labels, c))
+    log_p = fo.row_log_softmax(z_known)
+    ce = fo.scale(fo.sum(fo.mul_elem(onehot, log_p)), -1.0 / n)
+    hinge = fo.relu(fo.add_scalar(fo.scale(fo.row_l2_norms(z_known), -1.0), xi))
+    margin = fo.sum(fo.mul_elem(hinge, hinge))
+    return fo.add(ce, margin)
 
 
 def unknown_loss(z_pseudo: tc.DiffNode) -> tc.DiffNode:
     n, c = z_pseudo.value.shape
-    log_p = tc.row_log_softmax(z_pseudo)
-    flat = tc.scale(tc.sum(log_p), -1.0 / c)
-    return tc.add(flat, tc.frobenius_sq(z_pseudo))
+    log_p = fo.row_log_softmax(z_pseudo)
+    flat = fo.scale(fo.sum(log_p), -1.0 / c)
+    return fo.add(flat, fo.frobenius_sq(z_pseudo))
 
 
 def center_loss(z_known: tc.DiffNode, labels, centers: np.ndarray) -> tc.DiffNode:
-    gathered = tc.constant(centers[np.asarray(labels, dtype=np.int64)])
-    return tc.scale(tc.frobenius_sq(tc.sub(z_known, gathered)), 0.5)
+    gathered = tc.leaf(centers[np.asarray(labels, dtype=np.int64)])
+    return fo.scale(fo.frobenius_sq(fo.sub(z_known, gathered)), 0.5)
 
 
 def total_loss(z_fused: tc.DiffNode, labels, is_pseudo, centers, config):
@@ -190,17 +199,17 @@ def total_loss(z_fused: tc.DiffNode, labels, is_pseudo, centers, config):
     pseudo_idx = np.flatnonzero(is_pseudo)
     if known_idx.size == 0:
         raise LossError("total_loss needs at least one known sample in the batch")
-    z_known = tc.take_rows(z_fused, known_idx)
+    z_known = fo.take_rows(z_fused, known_idx)
     total = known_loss(z_known, labels[known_idx], config.xi)
     parts = {"known": total.item(), "unknown": 0.0, "center": 0.0}
     if config.lambda1 > 0 and pseudo_idx.size:
-        unk = unknown_loss(tc.take_rows(z_fused, pseudo_idx))
+        unk = unknown_loss(fo.take_rows(z_fused, pseudo_idx))
         parts["unknown"] = unk.item()
-        total = tc.add(total, tc.scale(unk, config.lambda1))
+        total = fo.add(total, fo.scale(unk, config.lambda1))
     if config.lambda2 > 0:
         cen = center_loss(z_known, labels[known_idx], centers)
         parts["center"] = cen.item()
-        total = tc.add(total, tc.scale(cen, config.lambda2))
+        total = fo.add(total, fo.scale(cen, config.lambda2))
     parts["total"] = total.item()
     return total, parts
 
@@ -228,7 +237,7 @@ def score_with_codes(params, dataset, split, config=None, normalize=True, indice
         is_pseudo=np.zeros(rows.size, dtype=bool),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        fused = inference_forward(batch, params, inference=True).z_fused
+        fused = package_forward(batch, params, inference=True).z_fused
     classes, confidence = predict(fused)
     if cfg.score == "norm":
         norms = np.linalg.norm(fused, axis=1)
@@ -263,3 +272,34 @@ def oscr_curve(preds) -> OscrCurve:
     fpr = share_at_or_above([p.confidence for p in unknown], len(unknown))
     return OscrCurve(points=list(zip(thresholds.tolist(), ccr.tolist(), fpr.tolist())))
 
+
+
+def run_gradcheck(seed: int = 7, eps: float = 1e-5):
+    combined, params = build_gradcheck_scenario(seed)
+    loss_cfg = LossConfig(xi=1.0, lambda1=0.3, lambda2=0.2)
+    rng = np.random.default_rng([seed, 903])
+    centers = rng.normal(size=(5, 5)) * 0.3
+
+    def loss(trial):
+        res = package_forward(combined, trial, labels_for_fusion=combined.labels)
+        node, _ = total_loss(res.z_fused, combined.labels, combined.is_pseudo, centers, loss_cfg)
+        return node, res.param_nodes
+
+    root, param_nodes = loss(params)
+    tc.backward(root)
+
+    per_param = {}
+    grad_norms = {}
+    for name, node in param_nodes.items():
+        grad_norms[name] = float(np.linalg.norm(node.grad))
+        err_max = 0.0
+        for j, analytic in enumerate(node.grad.flat):
+            vals = []
+            for sign in (1.0, -1.0):
+                trial = copy.deepcopy(params)
+                trial.named()[name].flat[j] += sign * eps
+                vals.append(loss(trial)[0].item())
+            central = (vals[0] - vals[1]) / (2 * eps)
+            err_max = max(err_max, abs(analytic - central) / max(1.0, abs(central)))
+        per_param[name] = err_max
+    return max(per_param.values()), per_param, grad_norms

@@ -92,20 +92,20 @@ def test_criterion_2_unfolded_admm_equivalence():
     for v in range(2):
         lp = state.l_p[v]
         rf = rf_forward(
-            tc.constant(state.z[v]), tc.constant(x_views[v]), tc.constant(state.e[v]),
-            tc.constant(state.d[v]),
-            tc.constant(np.eye(5) - (state.d[v] @ state.d[v].T) / lp),
-            tc.constant(np.eye(5) / lp), tc.constant([[cfg.alpha / lp]]),
+            tc.leaf(state.z[v]), tc.leaf(x_views[v]), tc.leaf(state.e[v]),
+            tc.leaf(state.d[v]),
+            tc.leaf(np.eye(5) - (state.d[v] @ state.d[v].T) / lp),
+            tc.leaf(np.eye(5) / lp), tc.leaf([[cfg.alpha / lp]]),
         )
         worst_mod = max(worst_mod, float(np.max(np.abs(rf.value - z_next.z[v]))))
         cd = cd_forward(
-            tc.constant(z_next.z[v]), tc.constant(x_views[v]), tc.constant(state.e[v]),
-            tc.constant(np.linalg.inv(z_next.z[v].T @ z_next.z[v] + cfg.beta * np.eye(5))),
+            tc.leaf(z_next.z[v]), tc.leaf(x_views[v]), tc.leaf(state.e[v]),
+            tc.leaf(np.linalg.inv(z_next.z[v].T @ z_next.z[v] + cfg.beta * np.eye(5))),
         )
         worst_mod = max(worst_mod, float(np.max(np.abs(cd.value - d_next.d[v]))))
         dn = dn_forward(
-            tc.constant(x_views[v]), tc.constant(d_next.z[v]), tc.constant(d_next.d[v]),
-            tc.constant([[cfg.gamma / d_next.l_p[v]]]),
+            tc.leaf(x_views[v]), tc.leaf(d_next.z[v]), tc.leaf(d_next.d[v]),
+            tc.leaf([[cfg.gamma / d_next.l_p[v]]]),
         )
         worst_mod = max(worst_mod, float(np.max(np.abs(dn.value - e_next.e[v]))))
     ok = worst_stack <= 1e-10 and worst_mod <= 1e-10

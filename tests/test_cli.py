@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from openviewer import CHECKPOINT_SCHEMA_VERSION
-from openviewer.cli import EXIT_RUNTIME, main, version_info
+from openviewer.cli import EXIT_RUNTIME, main, run_gradcheck, version_info
+
+import fine_reference as ref
 
 
 def write_experiment_config(path, epochs=3):
@@ -175,7 +177,6 @@ class TestPipeline:
         from openviewer.evaluation import EvalConfig, summary as ccr_summary
         from openviewer.trainer import load_checkpoint
 
-        import fine_reference as ref
 
         tmp_path, cfg, data_dir = workspace
         run, ev_dir = tmp_path / "run", tmp_path / "eval"
@@ -252,6 +253,12 @@ class TestGradcheckCommand:
     def test_exit_zero_when_passing(self, capsys):
         assert main(["gradcheck", "--seed", "7", "--quiet"]) == 0
         assert "max relative error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_matches_deep_copy_loop(self, seed):
+        # the in-place audit perturbs and restores the same entries the
+        # deep-copy loop perturbed on fresh copies, so every figure is equal
+        assert run_gradcheck(seed) == ref.run_gradcheck(seed)
 
 
 class TestDiagCommand:

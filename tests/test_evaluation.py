@@ -350,16 +350,16 @@ class TestContractionDiagnostic:
         for view in (0, 1):
             report = contraction_diagnostic(params, view=view, trials=60, seed=seed)
             rng = np.random.default_rng(seed)
-            x = tc.constant(rng.normal(size=(16, params.view_dims[view])))
-            d, u, r = (tc.constant(a) for a in (params.d_init[view], params.u[1][view],
+            x = tc.leaf(rng.normal(size=(16, params.view_dims[view])))
+            d, u, r = (tc.leaf(a) for a in (params.d_init[view], params.u[1][view],
                                                params.r[0][view]))
-            theta = tc.constant([[params.theta[1][view]]])
+            theta = tc.leaf([[params.theta[1][view]]])
             max_ratio = 0.0
             for _ in range(60):
                 za = rng.normal(size=(16, 4)) * rng.uniform(0.1, 5.0)
                 zb = rng.normal(size=(16, 4)) * rng.uniform(0.1, 5.0)
-                fa = ref.rf_forward(tc.constant(za), x, None, d, r, u, theta).value
-                fb = ref.rf_forward(tc.constant(zb), x, None, d, r, u, theta).value
+                fa = ref.rf_forward(tc.leaf(za), x, None, d, r, u, theta).value
+                fb = ref.rf_forward(tc.leaf(zb), x, None, d, r, u, theta).value
                 max_ratio = max(max_ratio, float(np.linalg.norm(fa - fb) / np.linalg.norm(za - zb)))
             assert report.max_ratio == max_ratio
             assert report.trials == 60

@@ -17,28 +17,29 @@ from openviewer.losses import (
     update_centers,
 )
 
+import fine_ops as fo
 import fine_reference as ref
 
 
 class TestKnownLoss:
     def test_perfect_sample_vanishes(self):
         z = np.array([[50.0, 0.0, 0.0, 0.0, 0.0]])
-        out = known_loss(tc.constant(z), [0], xi=5.0)
+        out = known_loss(tc.leaf(z), [0], xi=5.0)
         assert out.item() < 1e-10
 
     def test_zero_logits_closed_form(self):
-        out = known_loss(tc.constant(np.zeros((1, 5))), [0], xi=5.0)
+        out = known_loss(tc.leaf(np.zeros((1, 5))), [0], xi=5.0)
         assert out.item() == pytest.approx(math.log(5.0) + 25.0, rel=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(LossError):
-            known_loss(tc.constant(np.zeros((1, 3))), [3], xi=1.0)
+            known_loss(tc.leaf(np.zeros((1, 3))), [3], xi=1.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         z0 = rng.normal(size=(8, 5)) * 2.0
         labels = rng.integers(0, 5, size=8)
-        err = tc.finite_diff_check(
+        err = fo.finite_diff_check(
             lambda n: known_loss(n[0], labels, xi=3.0), [tc.leaf(z0)]
         )
         assert err < 1e-4
@@ -46,24 +47,24 @@ class TestKnownLoss:
 
 class TestUnknownLoss:
     def test_uniform_point_closed_form(self):
-        out = unknown_loss(tc.constant(np.zeros((1, 4))))
+        out = unknown_loss(tc.leaf(np.zeros((1, 4))))
         assert out.item() == pytest.approx(math.log(4.0), rel=1e-12)
 
     def test_zero_row_minimizes_flattening_part(self):
         # perturbing a single logit away from the uniform point must not
         # lower the cross-entropy flattening term
         base = np.zeros((1, 4))
-        flat0 = unknown_loss(tc.constant(base)).item()  # norm part is 0 here
+        flat0 = unknown_loss(tc.leaf(base)).item()  # norm part is 0 here
         for delta in (0.1, -0.1):
             z = base.copy()
             z[0, 0] += delta
-            bumped = unknown_loss(tc.constant(z)).item() - np.sum(z * z)
+            bumped = unknown_loss(tc.leaf(z)).item() - np.sum(z * z)
             assert bumped > flat0 - 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         z0 = rng.normal(size=(6, 5))
-        err = tc.finite_diff_check(lambda n: unknown_loss(n[0]), [tc.leaf(z0)])
+        err = fo.finite_diff_check(lambda n: unknown_loss(n[0]), [tc.leaf(z0)])
         assert err < 1e-4
 
 
@@ -71,11 +72,11 @@ class TestCenterLoss:
     def test_zero_at_centers(self):
         centers = np.array([[1.0, 2.0], [3.0, 4.0]])
         z = centers[[0, 1, 1]]
-        out = center_loss(tc.constant(z), [0, 1, 1], centers)
+        out = center_loss(tc.leaf(z), [0, 1, 1], centers)
         assert out.item() == 0.0
 
     def test_hand_value(self):
-        out = center_loss(tc.constant(np.zeros((1, 2))), [0], np.array([[1.0, 1.0]]))
+        out = center_loss(tc.leaf(np.zeros((1, 2))), [0], np.array([[1.0, 1.0]]))
         assert out.item() == pytest.approx(1.0)
 
     def test_gradient_is_difference_to_center(self):
@@ -86,7 +87,7 @@ class TestCenterLoss:
         node = tc.leaf(z0)
         tc.backward(center_loss(node, labels, centers))
         assert np.allclose(node.grad, z0 - centers[labels], atol=1e-12)
-        err = tc.finite_diff_check(
+        err = fo.finite_diff_check(
             lambda n: center_loss(n[0], labels, centers), [tc.leaf(z0)]
         )
         assert err < 1e-5
@@ -135,9 +136,9 @@ class TestTotalLoss:
     def test_lambda_zero_collapses_to_known_loss(self):
         z, labels, is_pseudo, centers = self._batch()
         cfg = LossConfig(xi=2.0, lambda1=0.0, lambda2=0.0)
-        node, parts = total_loss(tc.constant(z), labels, is_pseudo, centers, cfg)
+        node, parts = total_loss(tc.leaf(z), labels, is_pseudo, centers, cfg)
         known_only = known_loss(
-            tc.constant(z[~is_pseudo]), labels[~is_pseudo], cfg.xi
+            tc.leaf(z[~is_pseudo]), labels[~is_pseudo], cfg.xi
         ).item()
         assert node.item() == known_only
         assert parts["unknown"] == 0.0 and parts["center"] == 0.0
@@ -150,25 +151,25 @@ class TestTotalLoss:
         centers = np.tile(z[0], (c, 1))
         cfg = LossConfig(xi=5.0, lambda1=0.1, lambda2=0.1)
         node, parts = total_loss(
-            tc.constant(z), [0, 0], np.zeros(2, bool), centers, cfg
+            tc.leaf(z), [0, 0], np.zeros(2, bool), centers, cfg
         )
         assert node.item() < 1e-9
 
     def test_all_pseudo_batch_rejected(self):
         z, labels, is_pseudo, centers = self._batch()
         with pytest.raises(LossError):
-            total_loss(tc.constant(z), labels, np.ones_like(is_pseudo), centers, LossConfig())
+            total_loss(tc.leaf(z), labels, np.ones_like(is_pseudo), centers, LossConfig())
 
     def test_empty_pseudo_part_allowed(self):
         z, labels, is_pseudo, centers = self._batch(n_pseudo=0)
-        node, parts = total_loss(tc.constant(z), labels, is_pseudo, centers, LossConfig())
+        node, parts = total_loss(tc.leaf(z), labels, is_pseudo, centers, LossConfig())
         assert parts["unknown"] == 0.0
         assert np.isfinite(node.item())
 
     def test_full_gradient_check(self):
         z, labels, is_pseudo, centers = self._batch(seed=5, n_known=6, n_pseudo=4)
         cfg = LossConfig(xi=3.0, lambda1=0.3, lambda2=0.2)
-        err = tc.finite_diff_check(
+        err = fo.finite_diff_check(
             lambda n: total_loss(n[0], labels, is_pseudo, centers, cfg)[0],
             [tc.leaf(z)],
         )

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import openviewer.tensor_core as tc
+from openviewer.unfold_net import init_params
+
+import fine_ops as fo
 
 
 def grad_of(loss_builder, values, eps=1e-5):
@@ -43,17 +46,17 @@ class TestMatrixInvariants:
 class TestMatmul:
     def test_identity(self):
         a = tc.leaf([[1.0, 2.0], [3.0, 4.0]])
-        eye = tc.constant(np.eye(2))
-        out = tc.matmul(eye, a)
+        eye = tc.leaf(np.eye(2))
+        out = fo.matmul(eye, a)
         assert np.array_equal(out.value, a.value)
 
     def test_selector_row(self):
-        out = tc.matmul(tc.leaf([[1.0, 0.0]]), tc.leaf([[2.0], [3.0]]))
+        out = fo.matmul(tc.leaf([[1.0, 0.0]]), tc.leaf([[2.0], [3.0]]))
         assert np.allclose(out.value, [[2.0]])
 
     def test_shape_mismatch_names_shapes(self):
         with pytest.raises(tc.ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            tc.matmul(tc.leaf(np.zeros((2, 3))), tc.leaf(np.zeros((2, 2))))
+            fo.matmul(tc.leaf(np.zeros((2, 3))), tc.leaf(np.zeros((2, 2))))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -61,73 +64,73 @@ class TestMatmul:
         b0 = rng.normal(size=(4, 2))
 
         def loss(nodes):
-            return tc.sum(tc.matmul(nodes[0], nodes[1]))
+            return fo.sum(fo.matmul(nodes[0], nodes[1]))
 
-        err = tc.finite_diff_check(loss, [tc.leaf(a0), tc.leaf(b0)], eps=1e-5)
+        err = fo.finite_diff_check(loss, [tc.leaf(a0), tc.leaf(b0)], eps=1e-5)
         assert err < 1e-6
 
     def test_identity_associativity_bitwise(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 3))
-        left = tc.matmul(tc.matmul(tc.leaf(a), tc.constant(np.eye(4))), tc.leaf(b))
-        right = tc.matmul(tc.leaf(a), tc.leaf(b))
+        left = fo.matmul(fo.matmul(tc.leaf(a), tc.leaf(np.eye(4))), tc.leaf(b))
+        right = fo.matmul(tc.leaf(a), tc.leaf(b))
         assert np.array_equal(left.value, right.value)
 
 
 class TestElementwise:
     def test_add_identity(self):
         a = tc.leaf([[1.0, -2.0]])
-        out = tc.add(a, tc.constant(np.zeros((1, 2))))
+        out = fo.add(a, tc.leaf(np.zeros((1, 2))))
         assert np.array_equal(out.value, a.value)
 
     def test_scale_identity(self):
         a = tc.leaf([[3.0, 4.0]])
-        assert np.array_equal(tc.scale(a, 1.0).value, a.value)
+        assert np.array_equal(fo.scale(a, 1.0).value, a.value)
 
     def test_sub_gradient_is_negated(self):
         rng = np.random.default_rng(2)
         a0, b0 = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
-        ga, gb = grad_of(lambda n: tc.sum(tc.sub(n[0], n[1])), [a0, b0])
+        ga, gb = grad_of(lambda n: fo.sum(fo.sub(n[0], n[1])), [a0, b0])
         assert np.allclose(ga, 1.0)
         assert np.allclose(gb, -1.0)
-        err = tc.finite_diff_check(
-            lambda n: tc.sum(tc.sub(n[0], n[1])), [tc.leaf(a0), tc.leaf(b0)]
+        err = fo.finite_diff_check(
+            lambda n: fo.sum(fo.sub(n[0], n[1])), [tc.leaf(a0), tc.leaf(b0)]
         )
         assert err < 1e-8
 
     def test_shape_mismatch(self):
         with pytest.raises(tc.ShapeError):
-            tc.add(tc.leaf(np.zeros((1, 2))), tc.leaf(np.zeros((2, 1))))
+            fo.add(tc.leaf(np.zeros((1, 2))), tc.leaf(np.zeros((2, 1))))
 
     def test_accumulation_is_additive(self):
         # node consumed twice receives the sum of both partials
         a = tc.leaf([[2.0]])
-        out = tc.add(a, a)
-        tc.backward(tc.sum(out))
+        out = fo.add(a, a)
+        tc.backward(fo.sum(out))
         assert np.allclose(a.grad, [[2.0]])
 
 
 class TestSoftThreshold:
     def test_definition(self):
         theta = tc.leaf([[2.0]])
-        out = tc.soft_threshold(tc.leaf([[5.0, -5.0, 1.0]]), theta)
+        out = fo.soft_threshold(tc.leaf([[5.0, -5.0, 1.0]]), theta)
         assert np.allclose(out.value, [[3.0, -3.0, 0.0]])
 
     def test_zero_threshold_exact_identity(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(5, 4))
-        out = tc.soft_threshold(tc.leaf(a), tc.leaf([[0.0]]))
+        out = fo.soft_threshold(tc.leaf(a), tc.leaf([[0.0]]))
         assert np.array_equal(out.value, a)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(tc.DomainError):
-            tc.soft_threshold(tc.leaf([[1.0]]), tc.leaf([[-0.5]]))
+            fo.soft_threshold(tc.leaf([[1.0]]), tc.leaf([[-0.5]]))
 
     def test_theta_gradient_hand_case(self):
         a = tc.leaf([[3.0, -3.0, 1.0]])
         theta = tc.leaf([[1.0]])
-        tc.backward(tc.sum(tc.soft_threshold(a, theta)))
+        tc.backward(fo.sum(fo.soft_threshold(a, theta)))
         # -1*1 - (-1)*1 + 0 = 0
         assert np.allclose(theta.grad, [[0.0]])
 
@@ -136,8 +139,8 @@ class TestSoftThreshold:
         a0 = rng.normal(size=(4, 3)) * 2.0
         # keep entries away from the kink at |a| = theta
         a0[np.abs(np.abs(a0) - 0.5) < 0.05] += 0.2
-        err = tc.finite_diff_check(
-            lambda n: tc.sum(tc.soft_threshold(n[0], n[1])),
+        err = fo.finite_diff_check(
+            lambda n: fo.sum(fo.soft_threshold(n[0], n[1])),
             [tc.leaf(a0), tc.leaf([[0.5]])],
         )
         assert err < 1e-6
@@ -148,35 +151,35 @@ class TestSoftThreshold:
         for _ in range(50):
             a = rng.normal(size=(4, 4)) * 3
             b = rng.normal(size=(4, 4)) * 3
-            pa = tc.soft_threshold(tc.leaf(a), theta).value
-            pb = tc.soft_threshold(tc.leaf(b), theta).value
+            pa = fo.soft_threshold(tc.leaf(a), theta).value
+            pb = fo.soft_threshold(tc.leaf(b), theta).value
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
 
 class TestGroupSoftThreshold:
     def test_definition_column(self):
-        out = tc.group_soft_threshold(tc.leaf([[3.0], [4.0]]), tc.leaf([[2.0]]))
+        out = fo.group_soft_threshold(tc.leaf([[3.0], [4.0]]), tc.leaf([[2.0]]))
         assert np.allclose(out.value, [[1.8], [2.4]])
 
     def test_dead_zone(self):
-        out = tc.group_soft_threshold(tc.leaf([[0.3], [0.4]]), tc.leaf([[2.0]]))
+        out = fo.group_soft_threshold(tc.leaf([[0.3], [0.4]]), tc.leaf([[2.0]]))
         assert np.array_equal(out.value, np.zeros((2, 1)))
 
     def test_zero_threshold_exact_identity(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(4, 5))
-        out = tc.group_soft_threshold(tc.leaf(a), tc.leaf([[0.0]]))
+        out = fo.group_soft_threshold(tc.leaf(a), tc.leaf([[0.0]]))
         assert np.array_equal(out.value, a)
 
     def test_rows_axis(self):
         a = np.array([[3.0, 4.0], [0.1, 0.2]])
-        out = tc.group_soft_threshold(tc.leaf(a), tc.leaf([[2.0]]), axis="rows")
+        out = fo.group_soft_threshold(tc.leaf(a), tc.leaf([[2.0]]), axis="rows")
         assert out.value[0] == pytest.approx([1.8, 2.4])
         assert np.array_equal(out.value[1], [0.0, 0.0])
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(tc.DomainError):
-            tc.group_soft_threshold(tc.leaf([[1.0]]), tc.leaf([[-1.0]]))
+            fo.group_soft_threshold(tc.leaf([[1.0]]), tc.leaf([[-1.0]]))
 
     def test_gradient_matches_finite_differences_away_from_kink(self):
         rng = np.random.default_rng(7)
@@ -184,8 +187,8 @@ class TestGroupSoftThreshold:
         a0 = rng.normal(size=(4, 3))
         norms = np.sqrt(np.sum(a0 * a0, axis=0))
         assert np.all(np.abs(norms - rho) > 1e-3)  # seed chosen off the kink
-        err = tc.finite_diff_check(
-            lambda n: tc.sum(tc.group_soft_threshold(n[0], n[1])),
+        err = fo.finite_diff_check(
+            lambda n: fo.sum(fo.group_soft_threshold(n[0], n[1])),
             [tc.leaf(a0), tc.leaf([[rho]])],
         )
         assert err < 1e-5
@@ -196,64 +199,64 @@ class TestGroupSoftThreshold:
         for _ in range(50):
             a = rng.normal(size=(5, 3)) * 2
             b = rng.normal(size=(5, 3)) * 2
-            pa = tc.group_soft_threshold(tc.leaf(a), rho).value
-            pb = tc.group_soft_threshold(tc.leaf(b), rho).value
+            pa = fo.group_soft_threshold(tc.leaf(a), rho).value
+            pb = fo.group_soft_threshold(tc.leaf(b), rho).value
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
 
 class TestReductionsAndSoftmax:
     def test_row_softmax_symmetry(self):
-        out = tc.row_softmax(tc.leaf([[0.0, 0.0, 0.0]]))
+        out = fo.row_softmax(tc.leaf([[0.0, 0.0, 0.0]]))
         assert np.allclose(out.value, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_row_softmax_stability(self):
-        out = tc.row_softmax(tc.leaf([[1000.0, 0.0]]))
+        out = fo.row_softmax(tc.leaf([[1000.0, 0.0]]))
         assert np.all(np.isfinite(out.value))
         assert out.value[0, 0] == pytest.approx(1.0)
 
     def test_frobenius_sq_identity(self):
-        assert tc.frobenius_sq(tc.leaf(np.eye(2))).item() == pytest.approx(2.0)
+        assert fo.frobenius_sq(tc.leaf(np.eye(2))).item() == pytest.approx(2.0)
 
     def test_row_softmax_gradient(self):
         rng = np.random.default_rng(9)
         a0 = rng.normal(size=(2, 4))
-        w = tc.constant(rng.normal(size=(2, 4)))
-        err = tc.finite_diff_check(
-            lambda n: tc.sum(tc.mul_elem(tc.row_softmax(n[0]), w)), [tc.leaf(a0)]
+        w = tc.leaf(rng.normal(size=(2, 4)))
+        err = fo.finite_diff_check(
+            lambda n: fo.sum(fo.mul_elem(fo.row_softmax(n[0]), w)), [tc.leaf(a0)]
         )
         assert err < 1e-6
 
     def test_row_log_softmax_matches_composition(self):
         rng = np.random.default_rng(21)
         a0 = rng.normal(size=(4, 5)) * 3
-        fused = tc.row_log_softmax(tc.leaf(a0)).value
-        composed = tc.log(tc.row_softmax(tc.leaf(a0))).value
+        fused = fo.row_log_softmax(tc.leaf(a0)).value
+        composed = fo.log(fo.row_softmax(tc.leaf(a0))).value
         assert np.allclose(fused, composed, atol=1e-12)
-        err = tc.finite_diff_check(
-            lambda n: tc.sum(tc.row_log_softmax(n[0])), [tc.leaf(a0)]
+        err = fo.finite_diff_check(
+            lambda n: fo.sum(fo.row_log_softmax(n[0])), [tc.leaf(a0)]
         )
         assert err < 1e-6
 
     def test_row_log_softmax_survives_huge_spread(self):
-        out = tc.row_log_softmax(tc.leaf([[0.0, -800.0, 2.0]]))
+        out = fo.row_log_softmax(tc.leaf([[0.0, -800.0, 2.0]]))
         assert np.all(np.isfinite(out.value))
 
     def test_log_domain_error(self):
         with pytest.raises(tc.DomainError):
-            tc.log(tc.leaf([[0.0]]))
+            fo.log(tc.leaf([[0.0]]))
 
     def test_log_sum_row_norm_gradients(self):
         rng = np.random.default_rng(10)
         a0 = np.abs(rng.normal(size=(3, 3))) + 0.5
 
         def loss(n):
-            return tc.add(tc.sum(tc.log(n[0])), tc.sum(tc.row_l2_norms(n[0])))
+            return fo.add(fo.sum(fo.log(n[0])), fo.sum(fo.row_l2_norms(n[0])))
 
-        err = tc.finite_diff_check(loss, [tc.leaf(a0)])
+        err = fo.finite_diff_check(loss, [tc.leaf(a0)])
         assert err < 1e-6
 
     def test_row_l2_norms_values(self):
-        out = tc.row_l2_norms(tc.leaf([[3.0, 4.0], [0.0, 0.0]]))
+        out = fo.row_l2_norms(tc.leaf([[3.0, 4.0], [0.0, 0.0]]))
         assert np.allclose(out.value, [[5.0], [0.0]])
 
 
@@ -261,37 +264,37 @@ class TestPlumbingOps:
     def test_transpose_roundtrip_gradient(self):
         rng = np.random.default_rng(11)
         a0 = rng.normal(size=(3, 2))
-        err = tc.finite_diff_check(
-            lambda n: tc.frobenius_sq(tc.transpose(n[0])), [tc.leaf(a0)]
+        err = fo.finite_diff_check(
+            lambda n: fo.frobenius_sq(fo.transpose(n[0])), [tc.leaf(a0)]
         )
         assert err < 1e-7
 
     def test_take_rows_scatter(self):
         a = tc.leaf(np.arange(12.0).reshape(4, 3))
-        out = tc.take_rows(a, [2, 0, 2])
+        out = fo.take_rows(a, [2, 0, 2])
         assert np.array_equal(out.value, a.value[[2, 0, 2]])
-        tc.backward(tc.sum(out))
+        tc.backward(fo.sum(out))
         assert np.array_equal(a.grad[:, 0], [1.0, 0.0, 2.0, 0.0])
 
     def test_take_rows_out_of_range(self):
         with pytest.raises(tc.ShapeError):
-            tc.take_rows(tc.leaf(np.zeros((2, 2))), [3])
+            fo.take_rows(tc.leaf(np.zeros((2, 2))), [3])
 
     def test_hstack_and_split_gradient(self):
         rng = np.random.default_rng(12)
         parts = [rng.normal(size=(2, k)) for k in (1, 3, 2)]
 
         def loss(n):
-            return tc.frobenius_sq(tc.hstack(n))
+            return fo.frobenius_sq(fo.hstack(n))
 
-        err = tc.finite_diff_check(loss, [tc.leaf(p) for p in parts])
+        err = fo.finite_diff_check(loss, [tc.leaf(p) for p in parts])
         assert err < 1e-7
 
     def test_mul_scalar_node_gradient(self):
         rng = np.random.default_rng(13)
         a0 = rng.normal(size=(2, 3))
-        err = tc.finite_diff_check(
-            lambda n: tc.frobenius_sq(tc.mul_scalar_node(n[0], n[1])),
+        err = fo.finite_diff_check(
+            lambda n: fo.frobenius_sq(fo.mul_scalar_node(n[0], n[1])),
             [tc.leaf(a0), tc.leaf([[0.7]])],
         )
         assert err < 1e-6
@@ -300,14 +303,14 @@ class TestPlumbingOps:
         a0 = np.array([[0.9, 2.0, 4.0]])
 
         def loss(n):
-            return tc.sum(tc.reciprocal(tc.sqrt(tc.clamp_min(n[0], 0.5))))
+            return fo.sum(fo.reciprocal(fo.sqrt(fo.clamp_min(n[0], 0.5))))
 
-        err = tc.finite_diff_check(loss, [tc.leaf(a0)])
+        err = fo.finite_diff_check(loss, [tc.leaf(a0)])
         assert err < 1e-6
 
     def test_relu_kink_subgradient_zero(self):
         a = tc.leaf([[0.0, -1.0, 2.0]])
-        tc.backward(tc.sum(tc.relu(a)))
+        tc.backward(fo.sum(fo.relu(a)))
         assert np.array_equal(a.grad, [[0.0, 0.0, 1.0]])
 
 
@@ -315,24 +318,116 @@ class TestFiniteDiffCheck:
     def test_quadratic_loss_exact(self):
         rng = np.random.default_rng(14)
         a0 = rng.normal(size=(3, 3))
-        err = tc.finite_diff_check(lambda n: tc.frobenius_sq(n[0]), [tc.leaf(a0)])
+        err = fo.finite_diff_check(lambda n: fo.frobenius_sq(n[0]), [tc.leaf(a0)])
         assert err < 1e-9
 
     def test_constant_loss_zero_error(self):
-        c = tc.constant([[5.0]])
-        err = tc.finite_diff_check(lambda n: tc.sum(tc.mul_elem(n[0], tc.scale(n[0], 0.0))), [c])
+        c = tc.leaf([[5.0]])
+        err = fo.finite_diff_check(lambda n: fo.sum(fo.mul_elem(n[0], fo.scale(n[0], 0.0))), [c])
         assert err == 0.0
 
     def test_eps_domain(self):
         with pytest.raises(tc.DomainError):
-            tc.finite_diff_check(lambda n: tc.sum(n[0]), [tc.leaf([[1.0]])], eps=1e-2)
+            fo.finite_diff_check(lambda n: fo.sum(n[0]), [tc.leaf([[1.0]])], eps=1e-2)
 
     def test_nonfinite_loss_propagates(self):
         def loss(n):
-            return tc.log(tc.scale(n[0], -1.0))
+            return fo.log(fo.scale(n[0], -1.0))
 
         with pytest.raises((tc.NumericError, tc.DomainError)):
-            tc.finite_diff_check(loss, [tc.leaf([[1.0]])])
+            fo.finite_diff_check(loss, [tc.leaf([[1.0]])])
+
+
+class TestCentralDifferenceError:
+    @staticmethod
+    def _params():
+        return init_params([6, 5], 4, seed=21, num_layers=2)
+
+    def test_every_array_restored_bit_for_bit(self):
+        params = self._params()
+        arrays = params.named()
+        assert {n.split("/")[0] for n in arrays} == {"d_init", "r", "u", "theta", "m", "rho"}
+        before = {n: a.tobytes() for n, a in arrays.items()}
+        thresholds = params.theta.tobytes(), params.rho.tobytes()
+
+        def loss():
+            return float(np.sum([np.sum(a * a) for a in params.named().values()]))
+
+        for name, a in arrays.items():
+            assert tc.central_difference_error(loss, a, 2.0 * a) < 1e-6
+        assert {n: a.tobytes() for n, a in params.named().items()} == before
+        assert (params.theta.tobytes(), params.rho.tobytes()) == thresholds
+        # stepping +eps, -2 eps, +eps would not give these entries back
+        eps = 1e-5
+        assert any(((x + eps) - 2 * eps) + eps != x for a in arrays.values() for x in a.flat)
+
+    def test_theta_view_reaches_the_loss(self):
+        params = self._params()
+        view = params.named()["theta/1/0"]
+
+        def loss():
+            return float(params.theta[1, 0])
+
+        assert tc.central_difference_error(loss, view, np.ones((1, 1))) < 1e-9
+        assert tc.central_difference_error(loss, view, np.zeros((1, 1))) > 0.99
+
+    def test_prefix_checks_only_leading_entries(self):
+        a = np.arange(6.0).reshape(2, 3)
+        calls = []
+
+        def loss():
+            calls.append(a.copy())
+            return float(np.sum(a * a))
+
+        assert tc.central_difference_error(loss, a, (2.0 * a).reshape(-1)[:2]) < 1e-9
+        assert len(calls) == 4
+        assert [np.flatnonzero(c != np.arange(6.0).reshape(2, 3)).tolist() for c in calls] == [
+            [0], [0], [1], [1]
+        ]
+
+    def test_nan_loss_raises_numeric_error(self):
+        a = np.array([[0.0, 1.0]])
+
+        def loss():
+            with np.errstate(invalid="ignore"):
+                return float(np.log(a[0, 0]))
+
+        with pytest.raises(tc.NumericError):
+            tc.central_difference_error(loss, a, np.zeros((1, 2)))
+        assert a.tobytes() == np.array([[0.0, 1.0]]).tobytes()
+
+    def test_nan_gradient_raises_numeric_error(self):
+        # max() would skip a NaN error and report the other entries' error
+        a = np.ones((1, 2))
+        with pytest.raises(tc.NumericError, match="entry 1"):
+            tc.central_difference_error(lambda: float(a.sum()), a, np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize("eps", [1e-2, 2e-3, 5e-8, 0.0, -1e-5])
+    def test_eps_outside_domain_raises(self, eps):
+        def loss():
+            raise AssertionError("loss must not be called")
+
+        with pytest.raises(tc.DomainError, match="eps"):
+            tc.central_difference_error(loss, np.ones((1, 1)), np.ones((1, 1)), eps)
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-3])
+    def test_eps_domain_bounds_accepted(self, eps):
+        a = np.ones((1, 1))
+        assert tc.central_difference_error(lambda: float(a[0, 0]), a, np.ones((1, 1)), eps) < 1e-6
+
+
+def test_public_names_are_the_custom_op_tape():
+    # the fine-grained ops live in the test tree (fine_ops); the package
+    # differentiates only through leaves and custom ops
+    defined = {
+        name for name, value in vars(tc).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == tc.__name__
+    }
+    assert defined == {
+        "ShapeError", "DomainError", "NumericError", "matrix", "DiffNode", "leaf",
+        "backward", "value_of", "custom_op", "check_same_shape", "check_scalar", "dot",
+        "central_difference_error",
+    }
 
 
 def test_backward_requires_scalar_root():
@@ -348,14 +443,14 @@ def test_all_ops_match_finite_differences_random():
 
     def loss(n):
         a, b = n
-        m = tc.matmul(a, b)
-        s = tc.soft_threshold(m, tc.constant([[0.3]]))
-        g = tc.group_soft_threshold(s, tc.constant([[0.2]]))
-        p = tc.row_softmax(g)
-        part1 = tc.sum(tc.log(p))
-        part2 = tc.frobenius_sq(tc.relu(tc.sub(m, tc.transpose(tc.transpose(g)))))
-        part3 = tc.sum(tc.row_l2_norms(tc.take_rows(m, [0, 2])))
-        return tc.add(tc.add(part1, tc.scale(part2, 0.5)), part3)
+        m = fo.matmul(a, b)
+        s = fo.soft_threshold(m, tc.leaf([[0.3]]))
+        g = fo.group_soft_threshold(s, tc.leaf([[0.2]]))
+        p = fo.row_softmax(g)
+        part1 = fo.sum(fo.log(p))
+        part2 = fo.frobenius_sq(fo.relu(fo.sub(m, fo.transpose(fo.transpose(g)))))
+        part3 = fo.sum(fo.row_l2_norms(fo.take_rows(m, [0, 2])))
+        return fo.add(fo.add(part1, fo.scale(part2, 0.5)), part3)
 
-    err = tc.finite_diff_check(loss, [tc.leaf(a0), tc.leaf(b0)])
+    err = fo.finite_diff_check(loss, [tc.leaf(a0), tc.leaf(b0)])
     assert err < 1e-4

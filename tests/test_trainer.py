@@ -237,7 +237,28 @@ class TestCheckpoints:
         payload = json.loads(path.read_text())
         payload["params"]["theta"] = payload["params"]["theta"][:1]
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match=r"ckpt\.json.*theta/1/0"):
+        with pytest.raises(CheckpointError, match=r"ckpt\.json: theta holds 1 layers, expected 2"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, shrink, message", [
+        ("u", lambda p: p["u"].pop(), r"u holds 1 layers, expected 2"),
+        ("r", lambda p: p["r"][0].pop(), r"r\[0\] holds 1 views, expected 2"),
+    ])
+    def test_short_entries_rejected(self, tmp_path, field, shrink, message):
+        params, _, _, path = self._trained(tmp_path)
+        assert (params.num_layers, params.n_views) == (2, 2)
+        payload = json.loads(path.read_text())
+        shrink(payload["params"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=r"ckpt\.json: " + message):
+            load_checkpoint(path)
+
+    def test_one_dimensional_theta_rejected(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["params"]["theta"] = payload["params"]["theta"][0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=r"ckpt\.json: malformed parameters"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field, grow, message", [
