@@ -284,7 +284,7 @@ def run_gradcheck(seed: int = 7, eps: float = 1e-5):
     root, param_nodes = loss()
     tc.backward(root)
 
-    arrays = params.named()
+    arrays = params.arrays
     per_param = {
         name: tc.central_difference_error(lambda: loss()[0].item(), arrays[name], node.grad, eps)
         for name, node in param_nodes.items()

@@ -205,13 +205,12 @@ def contraction_diagnostic(
     if params.num_layers < 2:
         raise MetricError("layer 0 has no R: the contraction diagnostic needs >= 2 layers")
     rng = np.random.default_rng(seed)
-    r = params.r[0][view]
+    d, r, u, theta = (params.arrays[f"{prefix}/{view}"]
+                      for prefix in ("d_init", "r/1", "u/1", "theta/1"))
     norm_r = float(np.sqrt(power_iteration_norm(r.T @ r)))
     c = params.num_classes
     n = 16
     x = rng.normal(size=(n, params.view_dims[view]))
-    d, u, r = (tc.matrix(a) for a in (params.d_init[view], params.u[1][view], r))
-    theta = tc.matrix(params.theta[1][view])
 
     max_ratio = 0.0
     for _ in range(trials):

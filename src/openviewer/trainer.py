@@ -126,7 +126,7 @@ def step_preconditioner(params: UnfoldParams, threshold_step_scale: float | None
     `threshold_step_scale` to let them travel across their operating range.
     """
     scales: dict[str, float] = {}
-    for name, value in params.named().items():
+    for name, value in params.arrays.items():
         if name.startswith(("theta/", "rho/")):
             scales[name] = (
                 threshold_step_scale
@@ -142,15 +142,16 @@ def step_preconditioner(params: UnfoldParams, threshold_step_scale: float | None
 
 def sgd_step(params: UnfoldParams, gradients: dict[str, np.ndarray], eta: float) -> UnfoldParams:
     """Plain descent step; thresholds are clamped back to >= 0 afterward."""
-    named = params.named()
     for name, grad in gradients.items():
-        target = named.get(name)
+        target = params.arrays.get(name)
         if target is None:
             raise TrainerError(f"unknown parameter name {name!r}")
         if target.shape != grad.shape:
             raise TrainerError(f"gradient shape {grad.shape} mismatches {name} {target.shape}")
         target -= eta * grad
-    params.clamp_thresholds()
+    for name, value in params.arrays.items():
+        if name.startswith(("theta/", "rho/")):
+            np.maximum(value, 0.0, out=value)
     return params
 
 
@@ -338,53 +339,5 @@ def load_checkpoint(path) -> tuple[UnfoldParams, CenterState, dict]:
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"checkpoint {path} is missing fields: {exc}") from exc
     except ValueError as exc:
-        raise CheckpointError(f"checkpoint {path} has malformed fields: {exc}") from exc
-    _check_param_shapes(params, path)
+        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     return params, centers, config
-
-
-def _check_param_shapes(params: UnfoldParams, path) -> None:
-    """Every parameter list must hold num_layers layers of n_views views,
-    and every parameter must be finite and shaped as view_dims, num_classes
-    and num_layers say. Expected shapes come from read-only broadcast
-    arrays, so no size read from the file is ever allocated."""
-    c, layers, views = params.num_classes, params.num_layers, params.n_views
-    # count first: named() and the shape loop index by the expected counts
-    counts = [("d_init", "views", len(params.d_init), views)]
-    try:
-        for kind, want in (("r", layers - 1), ("u", layers), ("m", layers - 1),
-                           ("theta", layers), ("rho", layers - 1)):
-            entries = getattr(params, kind)
-            counts.append((kind, "layers", len(entries), want))
-            counts += [(f"{kind}[{l}]", "views", len(row), views) for l, row in enumerate(entries)]
-    except TypeError as exc:  # theta or rho is not 2-D
-        raise CheckpointError(f"checkpoint {path}: malformed parameters: {exc}") from exc
-    for field_name, what, have, want in counts:
-        if have != want:
-            raise CheckpointError(
-                f"checkpoint {path}: {field_name} holds {have} {what}, expected {want}"
-            )
-    try:
-        found = params.named()
-        square = [[np.broadcast_to(0.0, (c, c))] * views] * layers
-        template = UnfoldParams(
-            params.view_dims, c, layers, r=square[1:], u=square, m=square[1:],
-            theta=np.zeros((layers, views)), rho=np.zeros((layers - 1, views)),
-            d_init=[np.broadcast_to(0.0, (c, dim)) for dim in params.view_dims],
-        )
-    except (IndexError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint {path}: malformed parameters: {exc}") from exc
-    for name, want in template.named().items():
-        have = found[name]
-        if have.shape != want.shape:
-            raise CheckpointError(
-                f"checkpoint {path}: {name} has shape {have.shape}, expected {want.shape}"
-            )
-        if not np.all(np.isfinite(have)):
-            raise CheckpointError(f"checkpoint {path}: {name} has non-finite entries")
-    snapshot = params.fusion_weights_snapshot
-    if snapshot is not None and snapshot.shape != (params.n_views,):
-        raise CheckpointError(
-            f"checkpoint {path}: fusion_weights_snapshot has shape {snapshot.shape}, "
-            f"expected ({params.n_views},)"
-        )

@@ -10,14 +10,14 @@ reproduces one iteration of the non-learned alternating solver; during
 training all of R, U, M, theta, rho, and the initial dictionaries are
 free parameters.
 
-A network stores and runs only what reaches the fused code. Layer 0
-starts from Z = 0, so it has no R; the last layer runs RF only, as
-nothing reads a D or E it would refresh. An L-layer network holds U and
-theta for layers 0..L-1, R for 1..L-1, and M and rho for 0..L-2.
+A network stores and runs only what reaches the fused code: layer 0
+starts from Z = 0, so it has no R, and the last layer runs RF only, as
+nothing reads a D or E it would refresh. `param_shapes` is the one
+statement of which layer stores which parameter.
 
 Ablation modes: "no_cd_dn" freezes the dictionaries and drops the noise
-path entirely; "no_dn" keeps the dictionary refresh but clamps the noise
-estimate to zero.
+path entirely, so it stores no M or rho; "no_dn" keeps the dictionary
+refresh but clamps the noise estimate to zero, so it stores no rho.
 """
 
 from __future__ import annotations
@@ -49,21 +49,55 @@ class StateError(RuntimeError):
     """The network is missing state required for the requested mode."""
 
 
+@functools.cache
+def param_key(kind: str, *index: int) -> str:
+    """Parameter name `kind/layer/view` (`d_init/view` for dictionaries)."""
+    return "/".join((kind, *map(str, index)))
+
+
+def param_shapes(view_dims, num_classes: int, num_layers: int, ablation: str = "full"):
+    """Name and shape of every stored parameter, in bind order: `d_init/*`,
+    then per layer and view its r, u, theta, m, rho. Thresholds are (1, 1);
+    an ablation stores no kind it never reads."""
+    c = num_classes
+    shapes = {param_key("d_init", v): (c, dim) for v, dim in enumerate(view_dims)}
+    for l in range(num_layers):
+        last = l == num_layers - 1
+        for v in range(len(view_dims)):
+            if l > 0:
+                shapes[param_key("r", l, v)] = (c, c)
+            shapes[param_key("u", l, v)] = (c, c)
+            shapes[param_key("theta", l, v)] = (1, 1)
+            if not last and ablation != "no_cd_dn":
+                shapes[param_key("m", l, v)] = (c, c)
+            if not last and ablation == "full":
+                shapes[param_key("rho", l, v)] = (1, 1)
+    return shapes
+
+
+def _checked(name: str, value, shape: tuple) -> np.ndarray:
+    """`value` as a finite float64 array of `shape`; a ValueError names `name`."""
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} is not a numeric array: {exc}") from exc
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return a
+
+
 @dataclass
 class UnfoldParams:
-    """Learnable per-view, per-layer parameter set plus frozen fusion weights.
-    `u[l]`, `theta[l]` belong to layer l, `r[l]` to layer l + 1, and `m[l]`,
-    `rho[l]` to layer l; `theta` and `rho` are 2-D arrays (converted on init)."""
+    """Learnable parameters, one float64 array per `param_shapes` name,
+    plus the frozen fusion weights. Construction checks the arrays against
+    the layout and keeps them in bind order; updates write in place."""
 
     view_dims: list[int]
     num_classes: int
     num_layers: int
-    r: list[list[np.ndarray]]
-    u: list[list[np.ndarray]]
-    m: list[list[np.ndarray]]
-    theta: np.ndarray
-    rho: np.ndarray
-    d_init: list[np.ndarray]
+    arrays: dict[str, np.ndarray]
     fusion_weights_snapshot: np.ndarray | None = None
     group_axis: str = "columns"
     ablation: str = "full"
@@ -73,38 +107,29 @@ class UnfoldParams:
             raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
-        self.theta = np.array(self.theta, dtype=np.float64)
-        self.rho = np.array(self.rho, dtype=np.float64)
+        # every layer stores a U per view: a layer count the arrays cannot
+        # hold fails here, before its layout is spelt out
+        if self.num_layers * self.n_views > len(self.arrays):
+            raise ValueError(
+                f"{len(self.arrays)} parameter arrays cannot hold {self.num_layers} layers "
+                f"of {self.n_views} views"
+            )
+        shapes = param_shapes(self.view_dims, self.num_classes, self.num_layers, self.ablation)
+        missing = [n for n in shapes if n not in self.arrays]
+        surplus = [n for n in self.arrays if n not in shapes]
+        if missing or surplus:
+            raise ValueError(
+                f"parameter arrays do not match the layout: missing {missing}, surplus {surplus}"
+            )
+        self.arrays = {n: _checked(n, self.arrays[n], shape) for n, shape in shapes.items()}
+        if self.fusion_weights_snapshot is not None:
+            self.fusion_weights_snapshot = _checked(
+                "fusion_weights_snapshot", self.fusion_weights_snapshot, (self.n_views,)
+            )
 
     @property
     def n_views(self) -> int:
         return len(self.view_dims)
-
-    @staticmethod
-    @functools.cache
-    def key(kind: str, *index: int) -> str:
-        """Parameter name `kind/layer/view` (`d_init/view` for dictionaries)."""
-        return "/".join((kind, *map(str, index)))
-
-    def named(self) -> dict[str, np.ndarray]:
-        """Every parameter as a writable float64 array keyed by `key`, in bind
-        order: `d_init/*`, then per layer and view its r, u, theta, m, rho.
-        Thresholds are (1, 1) views, so writes update the parameter set."""
-        out = {self.key("d_init", v): d for v, d in enumerate(self.d_init)}
-        for l in range(self.num_layers):
-            for v in range(self.n_views):
-                if l > 0:
-                    out[self.key("r", l, v)] = self.r[l - 1][v]
-                out[self.key("u", l, v)] = self.u[l][v]
-                out[self.key("theta", l, v)] = self.theta[l : l + 1, v : v + 1]
-                if l < self.num_layers - 1:
-                    out[self.key("m", l, v)] = self.m[l][v]
-                    out[self.key("rho", l, v)] = self.rho[l : l + 1, v : v + 1]
-        return out
-
-    def clamp_thresholds(self) -> None:
-        np.maximum(self.theta, 0.0, out=self.theta)
-        np.maximum(self.rho, 0.0, out=self.rho)
 
 
 @dataclass
@@ -162,21 +187,23 @@ def init_params(
 
     eye = np.eye(c)
     l_p = [power_iteration_norm(dv @ dv.T) for dv in d_init]
-
-    def per_layer(make, layers=num_layers):
-        """Fresh (layers x views) values of `make(D_v, L_v)`."""
-        return [[make(dv, lp) for dv, lp in zip(d_init, l_p)] for _ in range(layers)]
-
+    make = {
+        "d_init": lambda dv, lp: dv,
+        "r": lambda dv, lp: eye - (dv @ dv.T) / lp,
+        "u": lambda dv, lp: eye / lp,
+        "theta": lambda dv, lp: np.array([[cfg.alpha / lp]]),
+        "m": lambda dv, lp: eye / (cfg.beta + ridge),
+        "rho": lambda dv, lp: np.array([[cfg.gamma / lp]]),
+    }
+    arrays = {}
+    for name in param_shapes(view_dims, c, num_layers, ablation):
+        kind, *_, v = name.split("/")
+        arrays[name] = make[kind](d_init[int(v)], l_p[int(v)])
     return UnfoldParams(
         view_dims=view_dims,
         num_classes=c,
         num_layers=num_layers,
-        r=per_layer(lambda dv, lp: eye - (dv @ dv.T) / lp, num_layers - 1),
-        u=per_layer(lambda dv, lp: eye / lp),
-        m=per_layer(lambda dv, lp: eye / (cfg.beta + ridge), num_layers - 1),
-        theta=per_layer(lambda dv, lp: cfg.alpha / lp),
-        rho=per_layer(lambda dv, lp: cfg.gamma / lp, num_layers - 1),
-        d_init=d_init,
+        arrays=arrays,
         group_axis=group_axis,
         ablation=ablation,
     )
@@ -388,13 +415,8 @@ def _weighted_sum_kernel(w, *codes):
 # full forward pass
 
 
-# parameter kinds an ablation never reads, as name prefixes
-_INERT = {"full": (), "no_dn": ("rho/",), "no_cd_dn": ("m/", "rho/")}
-
-
 def _bind_params(params: UnfoldParams) -> dict[str, tc.DiffNode]:
-    inert = _INERT[params.ablation]
-    return {n: tc.leaf(a) for n, a in params.named().items() if not n.startswith(inert)}
+    return {n: tc.leaf(a) for n, a in params.arrays.items()}
 
 
 def forward(
@@ -423,14 +445,14 @@ def forward(
 
     if inference:
         nodes = {}
-        p = {n: tc.matrix(a) for n, a in params.named().items()}
+        p = {n: tc.matrix(a) for n, a in params.arrays.items()}
     else:
         nodes = p = _bind_params(params)
     v_count = params.n_views
     x = [tc.matrix(v) for v in views]
     z: list = [None] * v_count
     e: list = [None] * v_count
-    key = params.key
+    key = param_key
     d = [p[key("d_init", v)] for v in range(v_count)]
 
     trace: list[LayerState] = []
@@ -486,35 +508,25 @@ def predict(z_fused: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def params_to_dict(params: UnfoldParams) -> dict:
+    snapshot = params.fusion_weights_snapshot
     return {
         "view_dims": list(params.view_dims),
         "num_classes": params.num_classes,
         "num_layers": params.num_layers,
-        **{k: [[a.tolist() for a in row] for row in getattr(params, k)] for k in ("r", "u", "m")},
-        "theta": params.theta.tolist(),
-        "rho": params.rho.tolist(),
-        "d_init": [m.tolist() for m in params.d_init],
-        "fusion_weights_snapshot": (
-            None
-            if params.fusion_weights_snapshot is None
-            else params.fusion_weights_snapshot.tolist()
-        ),
+        "arrays": {name: a.tolist() for name, a in params.arrays.items()},
+        "fusion_weights_snapshot": None if snapshot is None else snapshot.tolist(),
         "group_axis": params.group_axis,
         "ablation": params.ablation,
     }
 
 
 def params_from_dict(data: dict) -> UnfoldParams:
-    snapshot = data["fusion_weights_snapshot"]
     return UnfoldParams(
         view_dims=[int(d) for d in data["view_dims"]],
         num_classes=int(data["num_classes"]),
         num_layers=int(data["num_layers"]),
-        **{k: [[np.array(a) for a in layer] for layer in data[k]] for k in ("r", "u", "m")},
-        theta=data["theta"],
-        rho=data["rho"],
-        d_init=[np.array(m) for m in data["d_init"]],
-        fusion_weights_snapshot=None if snapshot is None else np.array(snapshot),
+        arrays=dict(data["arrays"]),
+        fusion_weights_snapshot=data["fusion_weights_snapshot"],
         group_axis=data["group_axis"],
         ablation=data["ablation"],
     )

@@ -44,6 +44,7 @@ from openviewer.unfold_net import (
     LayerState,
     UnfoldParams,
     _bind_params,
+    param_key,
     predict,
 )
 from openviewer.unfold_net import forward as package_forward
@@ -138,7 +139,7 @@ def forward(batch, params: UnfoldParams, labels_for_fusion=None) -> ForwardResul
     x = [tc.leaf(v) for v in batch.views]
     z = [None] * v_count
     e = [None] * v_count
-    key = params.key
+    key = param_key
     d = [nodes[key("d_init", v)] for v in range(v_count)]
     trace = []
     last = params.num_layers - 1
@@ -297,7 +298,7 @@ def run_gradcheck(seed: int = 7, eps: float = 1e-5):
             vals = []
             for sign in (1.0, -1.0):
                 trial = copy.deepcopy(params)
-                trial.named()[name].flat[j] += sign * eps
+                trial.arrays[name].flat[j] += sign * eps
                 vals.append(loss(trial)[0].item())
             central = (vals[0] - vals[1]) / (2 * eps)
             err_max = max(err_max, abs(analytic - central) / max(1.0, abs(central)))

@@ -48,22 +48,24 @@ def analytic_params_from_oracle(
     As in the network, layer 0 has no R and the last layer no M or rho.
     """
     state = admm_oracle.init_state(x_views, config, code_dim)
-    d0 = [d.copy() for d in state.d]
+    arrays = {f"d_init/{v}": d.copy() for v, d in enumerate(state.d)}
     eye = np.eye(code_dim)
-    r, u, m, theta, rho = [], [], [], [], []
     snapshots = []
     for l in range(num_layers):
         last = l == num_layers - 1
-        if l > 0:
-            r.append([eye - (d @ d.T) / lp for d, lp in zip(state.d, state.l_p)])
-        u.append([eye / lp for lp in state.l_p])
-        theta.append([config.alpha / lp for lp in state.l_p])
+        for v, (d, lp) in enumerate(zip(state.d, state.l_p)):
+            if l > 0:
+                arrays[f"r/{l}/{v}"] = eye - (d @ d.T) / lp
+            arrays[f"u/{l}/{v}"] = eye / lp
+            arrays[f"theta/{l}/{v}"] = np.array([[config.alpha / lp]])
         state = admm_oracle.z_step(state, x_views, config)
         if not last:
-            m.append([np.linalg.inv(z.T @ z + config.beta * eye) for z in state.z])
+            for v, z in enumerate(state.z):
+                arrays[f"m/{l}/{v}"] = np.linalg.inv(z.T @ z + config.beta * eye)
         state = admm_oracle.d_step(state, x_views, config)
         if not last:
-            rho.append([config.gamma / lp for lp in state.l_p])
+            for v, lp in enumerate(state.l_p):
+                arrays[f"rho/{l}/{v}"] = np.array([[config.gamma / lp]])
         state = admm_oracle.e_step(state, x_views, config)
         snapshots.append(
             {
@@ -76,12 +78,7 @@ def analytic_params_from_oracle(
         view_dims=[x.shape[1] for x in x_views],
         num_classes=code_dim,
         num_layers=num_layers,
-        r=r,
-        u=u,
-        m=m,
-        theta=theta,
-        rho=rho,
-        d_init=d0,
+        arrays=arrays,
         group_axis=config.group_axis,
         ablation="full",
     )

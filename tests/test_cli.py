@@ -211,8 +211,10 @@ class TestPipeline:
         ]) == 0
         checkpoint = run / "checkpoint.json"
         payload = json.loads(checkpoint.read_text())
-        u = np.array(payload["params"]["u"])
-        payload["params"]["u"] = (u * 1e300).tolist()
+        arrays = payload["params"]["arrays"]
+        for name in arrays:
+            if name.startswith("u/"):
+                arrays[name] = (np.array(arrays[name]) * 1e300).tolist()
         checkpoint.write_text(json.dumps(payload))
         ev_dir = tmp_path / "eval"
         assert main([

@@ -185,9 +185,9 @@ class TestScoreTestSet:
         params = init_params(dataset.view_dims, len(split.known_classes), seed=0,
                              num_layers=2)
         params.fusion_weights_snapshot = np.full(dataset.n_views, 1.0 / dataset.n_views)
-        for row in params.u:
-            for v, u in enumerate(row):
-                row[v] = u * 1e300
+        for name, a in params.arrays.items():
+            if name.startswith("u/"):
+                a *= 1e300
         batch = batch_from_dataset(dataset, split.test_idx)
         with np.errstate(over="ignore", invalid="ignore"):
             fused = forward(batch, params, inference=True).z_fused
@@ -325,18 +325,18 @@ class TestColumnarMatchesReference:
 
 
 class TestContractionDiagnostic:
-    """The diagnostic audits layer 1, the first layer with an R (`r[0]`)."""
+    """The diagnostic audits layer 1, the first layer with an R (`r/1/*`)."""
 
     def test_zero_mix_matrix(self):
         params = init_params([9], 4, seed=0, num_layers=2)
-        params.r[0][0] = np.zeros((4, 4))
+        params.arrays["r/1/0"][...] = 0.0
         report = contraction_diagnostic(params, trials=50, seed=0)
         assert report.max_ratio == 0.0
         assert report.passed and report.contractive
 
     def test_half_identity(self):
         params = init_params([9], 4, seed=1, num_layers=2)
-        params.r[0][0] = 0.5 * np.eye(4)
+        params.arrays["r/1/0"][...] = 0.5 * np.eye(4)
         report = contraction_diagnostic(params, trials=200, seed=1)
         assert report.spectral_norm_r == pytest.approx(0.5, rel=1e-8)
         assert report.max_ratio <= 0.5 + 1e-9
@@ -346,14 +346,13 @@ class TestContractionDiagnostic:
     def test_report_matches_taped_reference(self, seed):
         # the parent's procedure: the same draws through the fine-grained RF graph
         params = init_params([9, 6], 4, seed=seed, num_layers=2)
-        params.r[0][1] = 1.2 * params.r[0][1]
+        params.arrays["r/1/1"] *= 1.2
         for view in (0, 1):
             report = contraction_diagnostic(params, view=view, trials=60, seed=seed)
             rng = np.random.default_rng(seed)
             x = tc.leaf(rng.normal(size=(16, params.view_dims[view])))
-            d, u, r = (tc.leaf(a) for a in (params.d_init[view], params.u[1][view],
-                                               params.r[0][view]))
-            theta = tc.leaf([[params.theta[1][view]]])
+            d, u, r, theta = (tc.leaf(params.arrays[f"{prefix}/{view}"])
+                              for prefix in ("d_init", "u/1", "r/1", "theta/1"))
             max_ratio = 0.0
             for _ in range(60):
                 za = rng.normal(size=(16, 4)) * rng.uniform(0.1, 5.0)
@@ -366,7 +365,7 @@ class TestContractionDiagnostic:
 
     def test_non_contractive_flagged_not_failed(self):
         params = init_params([9], 4, seed=2, num_layers=2)
-        params.r[0][0] = 1.5 * np.eye(4)
+        params.arrays["r/1/0"][...] = 1.5 * np.eye(4)
         report = contraction_diagnostic(params, trials=50, seed=2)
         assert not report.contractive
         assert report.passed  # diagnostic only

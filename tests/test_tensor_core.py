@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import openviewer.tensor_core as tc
-from openviewer.unfold_net import init_params
+from openviewer.unfold_net import _bind_params, init_params
 
 import fine_ops as fo
 
@@ -345,31 +345,29 @@ class TestCentralDifferenceError:
 
     def test_every_array_restored_bit_for_bit(self):
         params = self._params()
-        arrays = params.named()
+        arrays = params.arrays
         assert {n.split("/")[0] for n in arrays} == {"d_init", "r", "u", "theta", "m", "rho"}
         before = {n: a.tobytes() for n, a in arrays.items()}
-        thresholds = params.theta.tobytes(), params.rho.tobytes()
 
         def loss():
-            return float(np.sum([np.sum(a * a) for a in params.named().values()]))
+            return float(np.sum([np.sum(a * a) for a in params.arrays.values()]))
 
         for name, a in arrays.items():
             assert tc.central_difference_error(loss, a, 2.0 * a) < 1e-6
-        assert {n: a.tobytes() for n, a in params.named().items()} == before
-        assert (params.theta.tobytes(), params.rho.tobytes()) == thresholds
+        assert {n: a.tobytes() for n, a in params.arrays.items()} == before
         # stepping +eps, -2 eps, +eps would not give these entries back
         eps = 1e-5
         assert any(((x + eps) - 2 * eps) + eps != x for a in arrays.values() for x in a.flat)
 
     def test_theta_view_reaches_the_loss(self):
         params = self._params()
-        view = params.named()["theta/1/0"]
+        theta = params.arrays["theta/1/0"]
 
-        def loss():
-            return float(params.theta[1, 0])
+        def loss():  # the threshold as the forward pass binds it
+            return _bind_params(params)["theta/1/0"].item()
 
-        assert tc.central_difference_error(loss, view, np.ones((1, 1))) < 1e-9
-        assert tc.central_difference_error(loss, view, np.zeros((1, 1))) > 0.99
+        assert tc.central_difference_error(loss, theta, np.ones((1, 1))) < 1e-9
+        assert tc.central_difference_error(loss, theta, np.zeros((1, 1))) > 0.99
 
     def test_prefix_checks_only_leading_entries(self):
         a = np.arange(6.0).reshape(2, 3)

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from openviewer import synthgen
+from openviewer import synthgen, unfold_net
 from openviewer.admm_oracle import AdmmConfig
 from openviewer.dataset import openness_split
 from openviewer.losses import LossConfig
@@ -66,21 +67,21 @@ class TestSgdStep:
 
     def test_scalar_arithmetic(self):
         params = init_params([8], 3, seed=0)
-        params.theta[0][0] = 1.0
+        params.arrays["theta/0/0"][0, 0] = 1.0
         sgd_step(params, {"theta/0/0": np.array([[2.0]])}, 0.1)
-        assert params.theta[0][0] == pytest.approx(0.8)
+        assert params.arrays["theta/0/0"][0, 0] == pytest.approx(0.8)
 
     def test_threshold_clamped_at_zero(self):
         params = init_params([8], 3, seed=0)
-        params.theta[0][0] = 0.05
+        params.arrays["theta/0/0"][0, 0] = 0.05
         sgd_step(params, {"theta/0/0": np.array([[1.0]])}, 0.1)
-        assert params.theta[0][0] == 0.0
+        assert params.arrays["theta/0/0"][0, 0] == 0.0
 
     def test_noise_threshold_clamped_at_zero(self):
         params = init_params([8], 3, seed=0, num_layers=2)
-        params.rho[0][0] = 0.05
+        params.arrays["rho/0/0"][0, 0] = 0.05
         sgd_step(params, {"rho/0/0": np.array([[1.0]])}, 0.1)
-        assert params.rho[0][0] == 0.0
+        assert params.arrays["rho/0/0"][0, 0] == 0.0
 
     def test_shape_mismatch_rejected(self):
         params = init_params([8], 3, seed=0)
@@ -97,8 +98,8 @@ class TestSgdStep:
         scales = step_preconditioner(params, threshold_step_scale=0.02)
         assert scales["d_init/0"] == 1.0
         assert scales["r/1/1"] == 1.0
-        assert scales["u/0/0"] == pytest.approx(float(params.u[0][0][0, 0]) ** 2)
-        assert scales["m/0/0"] == pytest.approx(float(params.m[0][0][0, 0]) ** 2)
+        assert scales["u/0/0"] == pytest.approx(float(params.arrays["u/0/0"][0, 0]) ** 2)
+        assert scales["m/0/0"] == pytest.approx(float(params.arrays["m/0/0"][0, 0]) ** 2)
         assert scales["theta/1/0"] == 0.02
 
 
@@ -114,10 +115,9 @@ class TestTrain:
             num_layers=2,
             expected_rows=32,
         )
-        named = params.named()
-        assert list(named) == list(fresh.named())
-        for name, value in fresh.named().items():
-            assert np.array_equal(named[name], value), name
+        assert list(params.arrays) == list(fresh.arrays)
+        for name, value in fresh.arrays.items():
+            assert np.array_equal(params.arrays[name], value), name
 
     def test_deterministic_checkpoints(self, tmp_path):
         dataset, split = tiny_run_inputs()
@@ -168,7 +168,7 @@ class TestTrain:
         np.random.rand(100)
         b, _, _ = train(dataset, split, quick_config(epochs=2))
         for v in range(dataset.n_views):
-            assert np.array_equal(a.d_init[v], b.d_init[v])
+            assert np.array_equal(a.arrays[f"d_init/{v}"], b.arrays[f"d_init/{v}"])
         assert np.array_equal(a.fusion_weights_snapshot, b.fusion_weights_snapshot)
 
     def test_needs_two_known_classes(self):
@@ -187,16 +187,34 @@ class TestTrain:
 
 
 class TestCheckpoints:
-    def _trained(self, tmp_path):
+    def _trained(self, tmp_path, ablation="full"):
         dataset, split = tiny_run_inputs()
-        cfg = quick_config(epochs=1)
+        cfg = quick_config(epochs=1, ablation=ablation)
         params, centers, _ = train(dataset, split, cfg)
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, centers, cfg, path)
         return params, centers, cfg, path
 
+    @staticmethod
+    def _edit_arrays(path, edit):
+        """Apply `edit` to the checkpoint's flat name -> array map."""
+        payload = json.loads(path.read_text())
+        edit(payload["params"]["arrays"])
+        path.write_text(json.dumps(payload))
+
     def test_roundtrip_byte_identical(self, tmp_path):
         params, centers, cfg, path = self._trained(tmp_path)
+        loaded_params, loaded_centers, _ = load_checkpoint(path)
+        again = tmp_path / "again.json"
+        save_checkpoint(loaded_params, loaded_centers, cfg, again)
+        assert path.read_bytes() == again.read_bytes()
+
+    @pytest.mark.parametrize("ablation, dead", [("no_dn", {"rho"}), ("no_cd_dn", {"m", "rho"})],
+                             ids=["no_dn", "no_cd_dn"])
+    def test_ablation_roundtrip_byte_identical(self, tmp_path, ablation, dead):
+        params, centers, cfg, path = self._trained(tmp_path, ablation)
+        stored = json.loads(path.read_text())["params"]["arrays"]
+        assert {n.split("/")[0] for n in stored} == {"d_init", "r", "u", "theta", "m"} - dead
         loaded_params, loaded_centers, _ = load_checkpoint(path)
         again = tmp_path / "again.json"
         save_checkpoint(loaded_params, loaded_centers, cfg, again)
@@ -206,8 +224,11 @@ class TestCheckpoints:
         params, centers, _, path = self._trained(tmp_path)
         loaded_params, loaded_centers, _ = load_checkpoint(path)
         assert np.array_equal(loaded_centers.centers, centers.centers)
-        for v in range(len(params.view_dims)):
-            assert np.array_equal(loaded_params.d_init[v], params.d_init[v])
+        assert list(loaded_params.arrays) == list(params.arrays)
+        for name, value in params.arrays.items():
+            assert np.array_equal(loaded_params.arrays[name], value), name
+        assert np.array_equal(loaded_params.fusion_weights_snapshot,
+                              params.fusion_weights_snapshot)
 
     def test_truncated_file_rejected(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
@@ -223,67 +244,67 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=r"ckpt\.json: schema '1'"):
             load_checkpoint(path)
 
+    def test_schema_2_file_rejected(self, tmp_path):
+        # schema 2 nested each kind by layer and view; it is not read
+        _, _, _, path = self._trained(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["schema_version"] = "2"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=r"ckpt\.json: schema '2' does not match supported '3'"):
+            load_checkpoint(path)
+
     def test_parameter_shape_mismatch_names_file_and_field(self, tmp_path):
         params, _, _, path = self._trained(tmp_path)
-        payload = json.loads(path.read_text())
         c = params.num_classes
-        payload["params"]["r"][0][1] = np.eye(c - 1).tolist()  # layer 1's R
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match=r"ckpt\.json.*r/1/1"):
+        self._edit_arrays(path, lambda a: a.update({"r/1/1": np.eye(c - 1).tolist()}))
+        with pytest.raises(CheckpointError,
+                           match=rf"ckpt\.json: r/1/1 has shape \({c - 1}, {c - 1}\), expected"):
             load_checkpoint(path)
 
     def test_missing_layer_rejected(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
-        payload = json.loads(path.read_text())
-        payload["params"]["theta"] = payload["params"]["theta"][:1]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match=r"ckpt\.json: theta holds 1 layers, expected 2"):
+        self._edit_arrays(path, lambda a: [a.pop(f"theta/1/{v}") for v in (0, 1)])
+        with pytest.raises(CheckpointError,
+                           match=r"ckpt\.json: .*missing \['theta/1/0', 'theta/1/1'\], surplus \[\]"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("field, shrink, message", [
-        ("u", lambda p: p["u"].pop(), r"u holds 1 layers, expected 2"),
-        ("r", lambda p: p["r"][0].pop(), r"r\[0\] holds 1 views, expected 2"),
-    ])
-    def test_short_entries_rejected(self, tmp_path, field, shrink, message):
+    @pytest.mark.parametrize("names", [["u/1/0", "u/1/1"], ["r/1/1"]], ids=["u-layer", "r-view"])
+    def test_short_entries_rejected(self, tmp_path, names):
         params, _, _, path = self._trained(tmp_path)
         assert (params.num_layers, params.n_views) == (2, 2)
-        payload = json.loads(path.read_text())
-        shrink(payload["params"])
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match=r"ckpt\.json: " + message):
+        self._edit_arrays(path, lambda a: [a.pop(n) for n in names])
+        with pytest.raises(CheckpointError, match=r"ckpt\.json: .*missing " + re.escape(str(names))):
             load_checkpoint(path)
 
     def test_one_dimensional_theta_rejected(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
-        payload = json.loads(path.read_text())
-        payload["params"]["theta"] = payload["params"]["theta"][0]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match=r"ckpt\.json: malformed parameters"):
+        self._edit_arrays(path, lambda a: a.update({"theta/0/0": a["theta/0/0"][0]}))
+        with pytest.raises(CheckpointError,
+                           match=r"ckpt\.json: theta/0/0 has shape \(1,\), expected \(1, 1\)"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("field, grow, message", [
-        ("u", lambda p: p["u"].append(p["u"][-1]), r"u holds 3 layers, expected 2"),
-        ("theta", lambda p: p["theta"].append(p["theta"][-1]), r"theta holds 3 layers, expected 2"),
-        ("d_init", lambda p: p["d_init"].append(p["d_init"][-1]), r"d_init holds 3 views, expected 2"),
-        ("r", lambda p: p["r"][0].append(p["r"][0][0]), r"r\[0\] holds 3 views, expected 2"),
-        ("rho", lambda p: p["rho"][0].append(0.1), r"rho\[0\] holds 3 views, expected 2"),
-        ("m", lambda p: p["m"].append(p["m"][0]), r"m holds 2 layers, expected 1"),
-    ])
-    def test_surplus_entries_rejected(self, tmp_path, field, grow, message):
-        params, _, _, path = self._trained(tmp_path)
+    @pytest.mark.parametrize("ablation, added", [
+        ("full", {"u/2/0": "u/1/0", "u/2/1": "u/1/1"}),
+        ("full", {"theta/2/0": "theta/1/0", "theta/2/1": "theta/1/1"}),
+        ("full", {"d_init/2": "d_init/1"}),
+        ("full", {"r/1/2": "r/1/0"}),
+        ("full", {"rho/0/2": "rho/0/0"}),
+        ("full", {"m/1/0": "m/0/0"}),
+        ("no_dn", {"rho/0/0": "theta/0/0"}),
+    ], ids=["u-layer", "theta-layer", "d_init-view", "r-view", "rho-view", "m-last-layer",
+            "rho-no_dn"])
+    def test_surplus_entries_rejected(self, tmp_path, ablation, added):
+        params, _, _, path = self._trained(tmp_path, ablation)
         assert (params.num_layers, params.n_views) == (2, 2)
-        payload = json.loads(path.read_text())
-        grow(payload["params"])
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match=r"ckpt\.json: " + message):
+        self._edit_arrays(path, lambda a: a.update({n: a[src] for n, src in added.items()}))
+        with pytest.raises(CheckpointError,
+                           match=r"ckpt\.json: .*missing \[\], surplus " + re.escape(str(list(added)))):
             load_checkpoint(path)
 
     def test_missing_view_rejected(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
-        payload = json.loads(path.read_text())
-        payload["params"]["d_init"].pop()
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match=r"ckpt\.json: d_init holds 1 views, expected 2"):
+        self._edit_arrays(path, lambda a: a.pop("d_init/1"))
+        with pytest.raises(CheckpointError, match=r"ckpt\.json: .*missing \['d_init/1'\]"):
             load_checkpoint(path)
 
     def test_zero_layers_rejected_at_load(self, tmp_path):
@@ -294,12 +315,33 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=r"ckpt\.json.*num_layers must be >= 1"):
             load_checkpoint(path)
 
-    def test_non_finite_parameter_rejected(self, tmp_path):
+    def test_absurd_layer_count_rejected_on_array_count(self, tmp_path, monkeypatch):
         _, _, _, path = self._trained(tmp_path)
         payload = json.loads(path.read_text())
-        payload["params"]["u"][1][0][0][0] = float("nan")
+        payload["params"]["num_layers"] = 10**9
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match=r"ckpt\.json.*u/1/0"):
+
+        def refuse(*args):
+            raise AssertionError("the layout of a rejected layer count was spelt out")
+
+        monkeypatch.setattr(unfold_net, "param_shapes", refuse)
+        with pytest.raises(CheckpointError,
+                           match=r"ckpt\.json: 16 parameter arrays cannot hold 1000000000 layers"):
+            load_checkpoint(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        self._edit_arrays(path, lambda a: a["u/1/0"][0].__setitem__(0, float("nan")))
+        with pytest.raises(CheckpointError, match=r"ckpt\.json: u/1/0 has non-finite entries"):
+            load_checkpoint(path)
+
+    def test_non_finite_snapshot_rejected(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["params"]["fusion_weights_snapshot"][0] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError,
+                           match=r"ckpt\.json: fusion_weights_snapshot has non-finite entries"):
             load_checkpoint(path)
 
     def test_unknown_ablation_rejected(self, tmp_path):

@@ -9,14 +9,17 @@ from openviewer import synthgen, unfold_net
 from openviewer.losses import LossConfig, total_loss
 from openviewer.pseudo_gen import MixConfig, generate_pseudo
 from openviewer.unfold_net import (
+    ABLATIONS,
     MIN_CENTROID_DISTANCE,
     FusionError,
     StateError,
+    UnfoldParams,
     cd_forward,
     dn_forward,
     forward,
     fusion_weights,
     init_params,
+    param_shapes,
     params_from_dict,
     params_to_dict,
     predict,
@@ -43,16 +46,16 @@ class TestInitParams:
             l_p=[1.0],
         )
         params = init_params([7], 3, cfg, seed=0, num_layers=2, warm_start=warm)
-        named = params.named()
-        assert np.array_equal(named["r/1/0"], np.zeros((3, 3)))
-        assert np.array_equal(named["u/0/0"], np.eye(3))
-        assert named["theta/0/0"][0, 0] == pytest.approx(cfg.alpha)
-        assert named["rho/0/0"][0, 0] == pytest.approx(cfg.gamma)
+        arrays = params.arrays
+        assert np.array_equal(arrays["r/1/0"], np.zeros((3, 3)))
+        assert np.array_equal(arrays["u/0/0"], np.eye(3))
+        assert arrays["theta/0/0"][0, 0] == pytest.approx(cfg.alpha)
+        assert arrays["rho/0/0"][0, 0] == pytest.approx(cfg.gamma)
 
     def test_u_diagonal_at_init(self):
         params = init_params([9, 7], 4, seed=1)
         for v in range(2):
-            u = params.u[0][v]
+            u = params.arrays[f"u/0/{v}"]
             assert np.allclose(u, np.diag(np.diag(u)))
             assert np.allclose(np.diag(u), np.diag(u)[0])
 
@@ -65,7 +68,7 @@ class TestInitParams:
 
     def test_gaussian_rows_are_normalized(self):
         params = init_params([9], 4, seed=3)
-        norms = np.linalg.norm(params.d_init[0], axis=1)
+        norms = np.linalg.norm(params.arrays["d_init/0"], axis=1)
         assert np.allclose(norms, 1.0)
 
     def test_warm_start_copies_dictionaries(self):
@@ -73,7 +76,7 @@ class TestInitParams:
         state = ao.solve(x_views, ao.AdmmConfig(max_iter=3), code_dim=4)
         params = init_params([8, 6], 4, seed=0, warm_start=state)
         for v in range(2):
-            assert np.array_equal(params.d_init[v], state.d[v])
+            assert np.array_equal(params.arrays[f"d_init/{v}"], state.d[v])
 
 
 class TestModules:
@@ -327,10 +330,10 @@ class TestForward:
         res = forward(batch, params)
         expected = np.zeros((10, dataset.class_count))
         for v in range(dataset.n_views):
-            d = params.d_init[v]
+            d = params.arrays[f"d_init/{v}"]
             lp = ao.power_iteration_norm(d @ d.T)
             pre = batch.views[v] @ d.T @ (np.eye(dataset.class_count) / lp)
-            shrunk = np.sign(pre) * np.maximum(np.abs(pre) - params.theta[0][v], 0.0)
+            shrunk = np.sign(pre) * np.maximum(np.abs(pre) - params.arrays[f"theta/0/{v}"], 0.0)
             expected += shrunk / dataset.n_views
         assert np.max(np.abs(res.z_fused.value - expected)) < 1e-12
 
@@ -338,9 +341,8 @@ class TestForward:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(6, 8))
         params = init_params([8, 8], 3, seed=13)
-        params.d_init[1] = params.d_init[0].copy()
-        params.u[0][1] = params.u[0][0].copy()
-        params.theta[0][1] = params.theta[0][0]
+        for kind in ("d_init", "u/0", "theta/0"):
+            params.arrays[f"{kind}/1"][...] = params.arrays[f"{kind}/0"]
         from openviewer.dataset import Batch
 
         batch = Batch(views=[x, x.copy()], labels=np.zeros(6, dtype=np.int64),
@@ -371,14 +373,12 @@ class TestForward:
     def test_contraction_of_rf_map(self):
         rng = np.random.default_rng(15)
         params = init_params([9], 4, seed=15, num_layers=2)
-        r = params.r[0][0]  # layer 1's
+        r = params.arrays["r/1/0"]
         norm_r = math.sqrt(ao.power_iteration_norm(r.T @ r))
         assert norm_r < 1.0
         x = rng.normal(size=(6, 9))
         offs = tc.leaf(x)
-        d = tc.leaf(params.d_init[0])
-        theta = tc.leaf([[params.theta[1][0]]])
-        u = tc.leaf(params.u[1][0])
+        d, theta, u = (tc.leaf(params.arrays[n]) for n in ("d_init/0", "theta/1/0", "u/1/0"))
         rn = tc.leaf(r)
         for _ in range(50):
             za, zb = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
@@ -424,7 +424,7 @@ class TestForward:
             assert not np.allclose(res.z_fused.value, full.z_fused.value)
             assert not np.any(res.trace[-1].e[0])
             if mode == "no_cd_dn":
-                assert np.array_equal(res.trace[-1].d[0], p.d_init[0])
+                assert np.array_equal(res.trace[-1].d[0], p.arrays["d_init/0"])
 
 
 class TestGraphReach:
@@ -475,7 +475,7 @@ class TestGraphReach:
         node, _ = total_loss(res.z_fused, batch.labels, batch.is_pseudo, np.zeros((5, 5)),
                              LossConfig())
         tc.backward(node)
-        assert list(res.param_nodes) == list(params.named())
+        assert list(res.param_nodes) == list(params.arrays)
         assert [n for n, leaf in res.param_nodes.items() if not np.any(leaf.grad)] == []
 
     def test_fusion_nodes_do_not_grow_with_layers(self):
@@ -516,37 +516,53 @@ class TestPredict:
 class TestNamedParams:
     def test_bind_order_and_shapes(self):
         params = init_params([9, 7], 4, seed=3, num_layers=2)
-        names = list(params.named())
+        names = list(params.arrays)
         # layer 0 has no R, layer 1 (the last) no M or rho
         assert names == ["d_init/0", "d_init/1",
                          "u/0/0", "theta/0/0", "m/0/0", "rho/0/0",
                          "u/0/1", "theta/0/1", "m/0/1", "rho/0/1",
                          "r/1/0", "u/1/0", "theta/1/0", "r/1/1", "u/1/1", "theta/1/1"]
-        shapes = {name: a.shape for name, a in params.named().items()}
+        shapes = {name: a.shape for name, a in params.arrays.items()}
+        assert shapes == param_shapes([9, 7], 4, 2)
         assert shapes["d_init/1"] == (4, 7)
         assert shapes["m/0/1"] == shapes["r/1/1"] == (4, 4)
         assert shapes["theta/1/0"] == shapes["rho/0/1"] == (1, 1)
-        assert [len(list(init_params([9, 7], 4, num_layers=l).named())) for l in (1, 3)] == [6, 26]
+        assert [len(param_shapes([9, 7], 4, l)) for l in (1, 3)] == [6, 26]
+        assert [len(param_shapes([9, 7], 4, 3, mode)) for mode in ABLATIONS] == [26, 18, 22]
+        # arrays given in any order are kept in bind order
+        again = UnfoldParams([9, 7], 4, 2, dict(sorted(params.arrays.items())))
+        assert list(again.arrays) == names
 
     def test_writes_reach_the_parameter_set(self):
         params = init_params([9, 7], 4, seed=3, num_layers=2)
-        named = params.named()
-        named["theta/1/0"][0, 0] = 0.25
-        named["rho/0/1"] -= 0.5
-        named["r/1/1"][2, 3] = 7.0
-        assert params.theta[1][0] == 0.25
-        assert params.rho[0][1] == init_params([9, 7], 4, seed=3, num_layers=2).rho[0][1] - 0.5
-        assert params.r[0][1][2, 3] == 7.0
+        # float64 arrays are kept, not copied, so in-place updates reach the net
+        again = UnfoldParams([9, 7], 4, 2, dict(params.arrays))
+        assert all(again.arrays[n] is a for n, a in params.arrays.items())
+        params.arrays["theta/1/0"][0, 0] = 0.25
+        params.arrays["r/1/1"][2, 3] = 7.0
+        bound = unfold_net._bind_params(again)
+        assert bound["theta/1/0"].item() == 0.25
+        assert bound["r/1/1"].value[2, 3] == 7.0
 
-    def test_ablations_bind_only_live_kinds(self):
+    def test_forward_reads_exactly_the_layout(self, monkeypatch):
+        reads = []
+
+        class Recording(dict):
+            def __getitem__(self, name):
+                reads.append(name)
+                return super().__getitem__(name)
+
+        bind = unfold_net._bind_params
+        monkeypatch.setattr(unfold_net, "_bind_params", lambda params: Recording(bind(params)))
         dataset, _ = synthgen.generate(small_spec())
         batch = batch_from_dataset(dataset, range(0, 40, 4))
-        for mode, dead in (("full", set()), ("no_dn", {"rho"}), ("no_cd_dn", {"m", "rho"})):
-            params = init_params(dataset.view_dims, dataset.class_count, seed=4, num_layers=2,
-                                 ablation=mode)
-            bound = set(forward(batch, params).param_nodes)
-            live = {n for n in params.named() if n.split("/")[0] not in dead}
-            assert bound == live, mode
+        dims, classes = dataset.view_dims, dataset.class_count
+        for mode in ABLATIONS:
+            for layers in (1, 2, 3):
+                params = init_params(dims, classes, seed=4, num_layers=layers, ablation=mode)
+                reads.clear()
+                forward(batch, params, labels_for_fusion=batch.labels)
+                assert reads == list(param_shapes(dims, classes, layers, mode)), (mode, layers)
 
 
 class TestSerialization:
@@ -571,7 +587,7 @@ class TestSerialization:
         # the first six entries of each checked parameter
         res = forward(batch, params, labels_for_fusion=batch.labels)
         tc.backward(fo.frobenius_sq(res.z_fused))
-        arrays = params.named()
+        arrays = params.arrays
         for name in ("d_init/0", "r/1/0", "theta/0/1"):
             grad = res.param_nodes[name].grad
             assert tc.central_difference_error(loss, arrays[name], grad.reshape(-1)[:6]) < 1e-4
