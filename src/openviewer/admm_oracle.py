@@ -10,9 +10,13 @@ serves as the independent numerical reference for the unfolded network, so
 its solver steps share no code paths with the differentiable
 implementation. One routine is shared: `power_iteration_norm`, which
 `unfold_net.init_params` calls for the analytic step sizes 1/L of the
-initial network and `evaluation.contraction_diagnostic` for ||R||_2. Its
-bits at the default arguments feed that analytic init, which the golden
-tests pin, so any change to its arithmetic must keep them.
+initial network and `evaluation.contraction_diagnostic` for ||R||_2. Those
+callers run it cold, from the fixed seed-12345 vector, and its bits there
+feed the analytic init that the golden tests pin, so any change to its
+cold arithmetic must keep them. Only `solve` runs it warm: each `d_step`
+starts a view's power iteration from the leading vector the previous
+call ended on (`AdmmState.lead`), since D D^T turns little between
+iterations.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 LIPSCHITZ_SAFETY = 1.01
 
@@ -63,21 +67,41 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
-    """Per-view iterates plus step-size constants and the objective trace."""
+    """Per-view iterates plus step-size constants and the objective trace.
+
+    `lead` holds each view's unit vector from the last power iteration on
+    D D^T, the start of the next one; None means a cold start. `fit` holds
+    X - Z D at the stored Z and D, as `e_step` formed it, for `objective`
+    to reuse; the Z and D steps clear it, and None means recompute.
+    """
 
     z: list[np.ndarray]
     d: list[np.ndarray]
     e: list[np.ndarray]
     l_p: list[float]
     objective_trace: list[float] = field(default_factory=list)
+    lead: list[np.ndarray] | None = None
+    fit: list[np.ndarray] | None = None
 
     @property
     def n_views(self) -> int:
         return len(self.z)
 
 
-def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> float:
+def _cold_start(n: int) -> np.ndarray:
+    """The fixed unit vector a cold power iteration starts from."""
+    vec = np.random.default_rng(12345).normal(size=n)
+    vec /= np.linalg.norm(vec)
+    return vec
+
+
+def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 1000,
+                         start: np.ndarray | None = None) -> float:
     """Largest eigenvalue of a symmetric PSD matrix by power iteration.
+
+    The iteration starts from `start`, a unit float64 vector, or from
+    `_cold_start(n)` when it is None; the last iterate is written back into
+    `start`, so a caller can pass it to the next call on a nearby matrix.
 
     Each step does one product: `mat @ vec` gives both the Rayleigh
     quotient of the current vector and the next vector, so the loop carries
@@ -95,9 +119,7 @@ def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 10
         shown = ", ".join(f"({i}, {j})" for i, j in bad[:5]) + (", ..." if len(bad) > 5 else "")
         raise ValueError(f"power iteration needs a finite matrix, got {len(bad)} "
                          f"non-finite entries at {shown}")
-    rng = np.random.default_rng(12345)
-    vec = rng.normal(size=n)
-    vec /= np.linalg.norm(vec)
+    vec = _cold_start(n) if start is None else start
     nxt = mat @ vec
     lam = 0.0
     change = np.inf
@@ -120,12 +142,13 @@ def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 10
     )
 
 
-def lipschitz(d: np.ndarray) -> float:
-    """Step-size constant ||D D^T||_2, padded by a small safety factor."""
+def lipschitz(d: np.ndarray, start: np.ndarray | None = None) -> float:
+    """Step-size constant ||D D^T||_2, padded by a small safety factor;
+    `start` as in `power_iteration_norm`."""
     if not np.any(d):
         warnings.warn("zero dictionary: using neutral step-size constant 1", stacklevel=2)
         return 1.0
-    return LIPSCHITZ_SAFETY * power_iteration_norm(d @ d.T)
+    return LIPSCHITZ_SAFETY * power_iteration_norm(d @ d.T, start=start)
 
 
 def _soft(a: np.ndarray, t: float) -> np.ndarray:
@@ -146,9 +169,10 @@ def _group_norm_sum(a: np.ndarray, axis: str) -> float:
 
 def objective(state: AdmmState, x_views: list[np.ndarray], config: AdmmConfig) -> float:
     """Exact objective value at the current iterates."""
+    fits = state.fit or [xv - zv @ dv for xv, zv, dv in zip(x_views, state.z, state.d)]
     total = 0.0
-    for xv, zv, dv, ev in zip(x_views, state.z, state.d, state.e):
-        resid = xv - zv @ dv - ev
+    for fit, zv, dv, ev in zip(fits, state.z, state.d, state.e):
+        resid = fit - ev
         total += 0.5 * float(np.sum(resid * resid))
         total += config.alpha * float(np.sum(np.abs(zv)))
         total += 0.5 * config.beta * float(np.sum(dv * dv))
@@ -163,40 +187,50 @@ def z_step(state: AdmmState, x_views: list[np.ndarray], config: AdmmConfig) -> A
         eye = np.eye(dv.shape[0])
         pre = zv @ (eye - (dv @ dv.T) / lp) + ((xv - ev) @ dv.T) * (1.0 / lp)
         new_z.append(_soft(pre, config.alpha / lp))
-    return replace(state, z=new_z)
+    return replace(state, z=new_z, fit=None)
 
 
 def d_step(state: AdmmState, x_views: list[np.ndarray], config: AdmmConfig) -> AdmmState:
-    """Exact ridge solve for every D_v; refreshes the step-size constants."""
-    new_d, new_lp = [], []
-    for xv, zv, ev in zip(x_views, state.z, state.e):
-        lhs = zv.T @ zv + config.beta * np.eye(zv.shape[1])
+    """Exact ridge solve for every D_v; refreshes the step-size constants.
+
+    Each view's power iteration starts from a copy of its `lead` vector,
+    so the input state is left as it was.
+    """
+    new_d, new_lp, new_lead = [], [], []
+    for v, (xv, zv, ev) in enumerate(zip(x_views, state.z, state.e)):
+        c = zv.shape[1]
+        lhs = zv.T @ zv + config.beta * np.eye(c)
         rhs = zv.T @ (xv - ev)
-        try:
-            cho = scipy.linalg.cho_factor(lhs)
-            dv = scipy.linalg.cho_solve(cho, rhs)
-        except scipy.linalg.LinAlgError as exc:
+        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+            raise ValueError(f"dictionary system of view {v} has non-finite entries")
+        chol, info = dpotrf(lhs, lower=0)
+        if info > 0:
             raise FactorizationError(
                 f"dictionary system not SPD (condition ~{np.linalg.cond(lhs):.3e})"
-            ) from exc
+            )
+        dv, _ = dpotrs(chol, rhs, lower=0)
+        lead = _cold_start(c) if state.lead is None else state.lead[v].copy()
         new_d.append(dv)
-        new_lp.append(lipschitz(dv))
-    return replace(state, d=new_d, l_p=new_lp)
+        new_lp.append(lipschitz(dv, start=lead))
+        new_lead.append(lead)
+    return replace(state, d=new_d, l_p=new_lp, lead=new_lead, fit=None)
 
 
 def e_step(state: AdmmState, x_views: list[np.ndarray], config: AdmmConfig) -> AdmmState:
     """Group-shrinkage update of every E_v on the fit residual."""
-    new_e = []
+    new_e, fits = [], []
     for xv, zv, dv, lp in zip(x_views, state.z, state.d, state.l_p):
         thresh = config.gamma if config.exact_e_prox else config.gamma / lp
-        new_e.append(_group_soft(xv - zv @ dv, thresh, config.group_axis))
-    return replace(state, e=new_e)
+        fit = xv - zv @ dv
+        new_e.append(_group_soft(fit, thresh, config.group_axis))
+        fits.append(fit)
+    return replace(state, e=new_e, fit=fits)
 
 
 def init_state(x_views: list[np.ndarray], config: AdmmConfig, code_dim: int) -> AdmmState:
     """Zero codes and noise, Gaussian row-normalized dictionaries."""
     rng = np.random.default_rng(config.seed)
-    z, d, e, lp = [], [], [], []
+    z, d, e, lp, lead = [], [], [], [], []
     for xv in x_views:
         n, dim = xv.shape
         dv = rng.normal(size=(code_dim, dim))
@@ -204,8 +238,9 @@ def init_state(x_views: list[np.ndarray], config: AdmmConfig, code_dim: int) -> 
         z.append(np.zeros((n, code_dim)))
         d.append(dv)
         e.append(np.zeros((n, dim)))
-        lp.append(lipschitz(dv))
-    return AdmmState(z=z, d=d, e=e, l_p=lp)
+        lead.append(_cold_start(code_dim))
+        lp.append(lipschitz(dv, start=lead[-1]))
+    return AdmmState(z=z, d=d, e=e, l_p=lp, lead=lead)
 
 
 def solve(x_views: list[np.ndarray], config: AdmmConfig, code_dim: int) -> AdmmState:

@@ -326,6 +326,10 @@ def load_checkpoint(path) -> tuple[UnfoldParams, CenterState, dict]:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CheckpointError(
+            f"checkpoint {path} must hold a JSON object, got {type(payload).__name__}"
+        )
     version = payload.get("schema_version")
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(

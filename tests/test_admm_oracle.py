@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from openviewer import admm_oracle as ao
 from openviewer import synthgen
 
 import fine_reference as ref
-from helpers import small_spec
+from helpers import FIXTURES, small_spec
 
 
 def random_problem(seed=0, n=12, c=4, dims=(9, 7)):
@@ -191,6 +192,73 @@ class TestPowerIteration:
             ao.power_iteration_norm(np.ones((2, 3)))
 
 
+class TestWarmStart:
+    """`solve` starts each power iteration where the last one ended."""
+
+    def test_cold_start_vector_gives_the_cold_bits(self):
+        rng = np.random.default_rng(45)
+        for n in (1, 4, 9):
+            a = rng.normal(size=(n, 2 * n))
+            start = ao._cold_start(n)
+            assert float.hex(ao.power_iteration_norm(a @ a.T, start=start)) == \
+                float.hex(ao.power_iteration_norm(a @ a.T))
+
+    def test_start_agrees_with_cold_and_is_left_a_unit_vector(self):
+        # a random start, then the vector that call ended on; closer to a
+        # double top eigenvalue (ratio 0.99) either run may stop short of
+        # lambda_max by up to ~1e-7 relative, so the two differ more
+        rng = np.random.default_rng(46)
+        for ratio in (0.3, 0.6, 0.9):
+            for _ in range(50):
+                rows = int(rng.integers(2, 9))
+                d = dictionary_with_ratio(rng, ratio, rows, int(rng.integers(rows, 3 * rows)))
+                start = rng.normal(size=rows)
+                start /= np.linalg.norm(start)
+                cold = ao.power_iteration_norm(d @ d.T)
+                for _ in range(2):
+                    assert ao.power_iteration_norm(d @ d.T, start=start) == \
+                        pytest.approx(cold, rel=1e-9)
+                    assert np.linalg.norm(start) == pytest.approx(1.0, abs=1e-12)
+
+    def test_init_state_step_sizes_are_the_cold_ones(self):
+        x_views = random_problem(seed=47)
+        state = ao.init_state(x_views, ao.AdmmConfig(), code_dim=4)
+        for dv, lp, lead in zip(state.d, state.l_p, state.lead):
+            assert float.hex(lp) == float.hex(ao.lipschitz(dv))
+            assert np.linalg.norm(lead) == pytest.approx(1.0, abs=1e-12)
+
+    def test_every_warm_step_size_on_the_golden_instance(self, monkeypatch):
+        fixture = json.loads((FIXTURES / "admm_defaults.json").read_text())
+        cfg = ao.AdmmConfig(**fixture["config"])
+        spec = synthgen.SynthSpec(**fixture["data"])
+        data, _ = synthgen.generate(spec)
+        original = ao.d_step
+        checked = []
+
+        def checking_d_step(state, x_views, config):
+            leads = [lead.copy() for lead in state.lead]
+            new = original(state, x_views, config)
+            for v, (dv, lp) in enumerate(zip(new.d, new.l_p)):
+                assert lp >= float(np.linalg.eigvalsh(dv @ dv.T).max())
+                assert lp == pytest.approx(ao.lipschitz(dv), rel=1e-8)
+                assert np.array_equal(state.lead[v], leads[v])  # old state untouched
+            checked.append(len(new.l_p))
+            return new
+
+        monkeypatch.setattr(ao, "d_step", checking_d_step)
+        state = ao.solve(data.views, cfg, code_dim=spec.classes)
+        assert len(checked) == len(state.objective_trace) - 1 == cfg.max_iter
+        assert set(checked) == {data.n_views}
+
+    def test_hand_built_state_starts_cold(self):
+        x_views = random_problem(seed=48)
+        state = random_state(x_views, c=4, seed=49)
+        assert state.lead is None
+        stepped = ao.d_step(state, x_views, ao.AdmmConfig())
+        for dv, lp in zip(stepped.d, stepped.l_p):
+            assert float.hex(lp) == float.hex(ao.lipschitz(dv))
+
+
 class TestSteps:
     def test_z_step_from_zero_state(self):
         x_views = random_problem(seed=7)
@@ -225,6 +293,33 @@ class TestSteps:
             rhs = state.z[v].T @ (x_views[v] - state.e[v])
             resid = np.linalg.norm(lhs @ stepped.d[v] - rhs)
             assert resid <= 1e-8 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("field_name", ["z", "e"])
+    def test_d_step_non_finite_input_raises(self, field_name):
+        x_views = random_problem(seed=14)
+        state = random_state(x_views, c=4, seed=15)
+        getattr(state, field_name)[1][2, 0] = np.nan
+        with pytest.raises(ValueError, match="view 1 has non-finite entries"):
+            ao.d_step(state, x_views, ao.AdmmConfig())
+
+    def test_d_step_singular_system_raises(self):
+        x_views = random_problem(seed=16)
+        state = random_state(x_views, c=4, seed=17)
+        state.z = [np.zeros_like(z) for z in state.z]
+        with pytest.raises(ao.FactorizationError, match="not SPD"):
+            ao.d_step(state, x_views, ao.AdmmConfig(beta=0.0))
+
+    def test_objective_reuses_the_e_step_fit_bitwise(self):
+        cfg = ao.AdmmConfig(alpha=0.3, beta=0.4, gamma=0.8)
+        x_views = random_problem(seed=18)
+        state = random_state(x_views, c=4, seed=19)
+        stepped = ao.e_step(ao.d_step(ao.z_step(state, x_views, cfg), x_views, cfg),
+                            x_views, cfg)
+        assert stepped.fit is not None
+        assert float.hex(ao.objective(stepped, x_views, cfg)) == \
+            float.hex(ao.objective(replace(stepped, fit=None), x_views, cfg))
+        assert ao.z_step(stepped, x_views, cfg).fit is None
+        assert ao.d_step(stepped, x_views, cfg).fit is None
 
     def test_z_and_d_steps_never_increase_objective(self):
         cfg = ao.AdmmConfig(alpha=0.3, beta=0.4, gamma=0.8)

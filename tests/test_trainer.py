@@ -236,6 +236,14 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("document, kind", [("[1, 2]", "list"), ("null", "NoneType"),
+                                                ('"x"', "str"), ("3", "int")])
+    def test_non_object_document_names_file(self, tmp_path, document, kind):
+        path = tmp_path / "ckpt.json"
+        path.write_text(document)
+        with pytest.raises(CheckpointError, match=rf"ckpt\.json must hold a JSON object, got {kind}"):
+            load_checkpoint(path)
+
     def test_schema_mismatch_names_version(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
         payload = json.loads(path.read_text())
