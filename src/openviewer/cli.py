@@ -196,10 +196,9 @@ def _cmd_eval(args, config):
     curve = oscr_curve(preds)
     out = Path(args.out)
 
+    columns = (curve.thresholds.tolist(), curve.ccr.tolist(), curve.fpr.tolist())
     lines = ["threshold,ccr,fpr"]
-    lines += [
-        f"{float_repr(t)},{float_repr(c)},{float_repr(f)}" for t, c, f in curve.points
-    ]
+    lines += [",".join(map(float_repr, row)) for row in zip(*columns)]
     atomic_write_text(out / "oscr_curve.csv", "\n".join(lines) + "\n")
 
     summary = ccr_summary(curve, eval_cfg.fpr_targets)

@@ -180,6 +180,22 @@ def load(manifest_path) -> MultiViewDataset:
     )
 
 
+def norm_stats(dataset: MultiViewDataset, stats_from) -> NormStats:
+    """Per-view feature means and divisors over the rows `stats_from`.
+
+    The divisor is the column's std, or 1 where that std is below 1e-12.
+    """
+    train_idx = np.asarray(stats_from, dtype=np.intp)
+    if train_idx.size == 0:
+        raise SplitError("z-score statistics need a non-empty train index")
+    stats = NormStats()
+    for v in dataset.views:
+        std = v[train_idx].std(axis=0)
+        stats.means.append(v[train_idx].mean(axis=0))
+        stats.stds.append(np.where(std < 1e-12, 1.0, std))
+    return stats
+
+
 def zscore_normalize(
     dataset: MultiViewDataset, stats_from
 ) -> tuple[MultiViewDataset, NormStats]:
@@ -187,20 +203,10 @@ def zscore_normalize(
 
     Columns whose train std is below 1e-12 are centered but not divided.
     """
-    train_idx = np.asarray(stats_from, dtype=np.intp)
-    if train_idx.size == 0:
-        raise SplitError("zscore_normalize needs a non-empty train index")
-    stats = NormStats()
-    new_views = []
-    for v in dataset.views:
-        mean = v[train_idx].mean(axis=0)
-        std = v[train_idx].std(axis=0)
-        divisor = np.where(std < 1e-12, 1.0, std)
-        new_views.append((v - mean) / divisor)
-        stats.means.append(mean)
-        stats.stds.append(divisor)
+    stats = norm_stats(dataset, stats_from)
     normalized = MultiViewDataset(
-        views=new_views,
+        views=[(v - mean) / divisor
+               for v, mean, divisor in zip(dataset.views, stats.means, stats.stds)],
         labels=dataset.labels.copy(),
         class_count=dataset.class_count,
         name=dataset.name,

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor_core as tc
-from .dataset import Batch, MultiViewDataset, OpennessSplit, zscore_normalize
+from .dataset import Batch, MultiViewDataset, OpennessSplit, norm_stats
 from .losses import CenterState, unknown_loss
 from .unfold_net import UnfoldParams, forward, predict, rf_forward
 from .admm_oracle import power_iteration_norm
@@ -51,7 +52,17 @@ class ScoredPrediction(NamedTuple):
 
 @dataclass
 class OscrCurve:
-    points: list[tuple[float, float, float]] = field(default_factory=list)  # (thr, ccr, fpr)
+    """The OSCR sweep as three float64 arrays of one length: thresholds
+    from high to low, and at each the CCR and FPR at or above it."""
+
+    thresholds: np.ndarray
+    ccr: np.ndarray
+    fpr: np.ndarray
+
+    @cached_property
+    def points(self) -> list[tuple[float, float, float]]:
+        """(threshold, ccr, fpr) triples of Python floats, built on first read."""
+        return list(zip(self.thresholds.tolist(), self.ccr.tolist(), self.fpr.tolist()))
 
 
 def score_test_set(
@@ -90,13 +101,15 @@ def score_with_codes(
         raise MetricError(
             f"checkpoint has {params.num_classes} classes, split has {len(known)}"
         )
-    work = dataset
-    if normalize:
-        work, _ = zscore_normalize(dataset, split.train_idx)
     rows = _checked_indices(split.test_idx if indices is None else indices, dataset.n_samples)
+    views = [v[rows] for v in dataset.views]
+    if normalize:
+        # zscore_normalize's elementwise arithmetic, on the scored rows only
+        stats = norm_stats(dataset, split.train_idx)
+        views = [(v - mean) / divisor for v, mean, divisor in zip(views, stats.means, stats.stds)]
     batch = Batch(
-        views=[v[rows] for v in work.views],
-        labels=work.labels[rows],
+        views=views,
+        labels=dataset.labels[rows],
         is_pseudo=np.zeros(rows.size, dtype=bool),
     )
     with np.errstate(over="ignore", invalid="ignore"):
@@ -157,15 +170,15 @@ def oscr_curve(preds: list[ScoredPrediction]) -> OscrCurve:
     correct = ~unknown & (_column(preds, "predicted", int) == _column(preds, "true_label", int))
     ccr = share_at_or_above(confidence[correct], np.count_nonzero(~unknown))
     fpr = share_at_or_above(confidence[unknown], np.count_nonzero(unknown))
-    return OscrCurve(points=list(zip(thresholds.tolist(), ccr.tolist(), fpr.tolist())))
+    return OscrCurve(thresholds, ccr, fpr)
 
 
 def ccr_at_fpr(curve: OscrCurve, target_fpr: float) -> float:
     """Largest CCR among curve points with FPR <= target; 0 if none qualify."""
     if not 0.0 < target_fpr <= 1.0:
         raise MetricError(f"target FPR must lie in (0, 1], got {target_fpr}")
-    eligible = [ccr for _, ccr, fpr in curve.points if fpr <= target_fpr]
-    return max(eligible) if eligible else 0.0
+    eligible = curve.ccr[curve.fpr <= target_fpr]
+    return float(eligible.max()) if eligible.size else 0.0
 
 
 def summary(curve: OscrCurve, targets=(0.005, 0.01, 0.05, 0.1, 0.5)) -> dict[str, float]:

@@ -271,7 +271,7 @@ def oscr_curve(preds) -> OscrCurve:
     correct = [p.confidence for p in known if p.predicted == p.true_label]
     ccr = share_at_or_above(correct, len(known))
     fpr = share_at_or_above([p.confidence for p in unknown], len(unknown))
-    return OscrCurve(points=list(zip(thresholds.tolist(), ccr.tolist(), fpr.tolist())))
+    return OscrCurve(thresholds, ccr, fpr)
 
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +13,35 @@ from openviewer import synthgen
 
 import fine_reference as ref
 from helpers import FIXTURES, small_spec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# trains and scores a tiny instance, then runs the oracle; only the
+# oracle's D step may load scipy.linalg
+LAZY_LAPACK_SCRIPT = '''
+import sys
+from openviewer import cli, evaluation, synthgen, trainer
+from openviewer.admm_oracle import AdmmConfig, solve
+from openviewer.dataset import openness_split
+from openviewer.losses import LossConfig
+
+spec = synthgen.SynthSpec(classes=5, samples_per_class=12, views=2, dims=(12, 10),
+                          sep_scale=1.0, noise_col_frac=0.1, noise_magnitude=0.5,
+                          jitter=0.08, seed=3)
+dataset, _ = synthgen.generate(spec)
+split = openness_split(dataset, 0.2, (0.5, 0.1, 0.4), seed=3)
+config = trainer.TrainConfig(
+    epochs=2, batch_size=16, learning_rate=0.02, layers=2, seed=3,
+    loss=LossConfig(xi=0.3, lambda1=0.1, lambda2=0.1),
+    admm=AdmmConfig(alpha=0.01, beta=0.1, gamma=2.0), threshold_step_scale=0.01,
+)
+params, centers, _ = trainer.train(dataset, split, config)
+curve = evaluation.oscr_curve(evaluation.score_test_set(params, centers, dataset, split))
+evaluation.summary(curve)
+assert "scipy.linalg" not in sys.modules, "training or scoring loaded scipy.linalg"
+solve(dataset.views, AdmmConfig(max_iter=3), code_dim=4)
+assert "scipy.linalg" in sys.modules, "the oracle ran without loading scipy.linalg"
+'''
 
 
 def random_problem(seed=0, n=12, c=4, dims=(9, 7)):
@@ -370,6 +402,13 @@ class TestSolve:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             ao.solve(random_problem(), ao.AdmmConfig(alpha=0.0), code_dim=3)
+
+    def test_only_the_solver_loads_lapack(self, tmp_path):
+        # a fresh interpreter: pytest's own process may hold scipy already
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", LAZY_LAPACK_SCRIPT], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestExactEProx:

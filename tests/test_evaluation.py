@@ -119,7 +119,7 @@ class TestCcrAtFpr:
             assert ccr_at_fpr(curve, target) == 1.0
 
     def test_no_point_under_target(self):
-        curve = OscrCurve(points=[(0.5, 0.8, 0.4)])
+        curve = OscrCurve(np.array([0.5]), np.array([0.8]), np.array([0.4]))
         assert ccr_at_fpr(curve, 0.2) == 0.0
 
     def test_hand_case(self):
@@ -140,7 +140,30 @@ class TestCcrAtFpr:
 
     def test_target_domain(self):
         with pytest.raises(MetricError):
-            ccr_at_fpr(OscrCurve(points=[]), 0.0)
+            ccr_at_fpr(OscrCurve(np.empty(0), np.empty(0), np.empty(0)), 0.0)
+
+    def test_summary_matches_tuple_scan(self):
+        # the scan over (thr, ccr, fpr) tuples that ccr_at_fpr used to make
+        def scan(points, target):
+            eligible = [ccr for _, ccr, fpr in points if fpr <= target]
+            return max(eligible) if eligible else 0.0
+
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            preds = random_predictions(rng, n=int(rng.integers(2, 60)))
+            points = brute_force_curve(preds)
+            got = summary(oscr_curve(preds), TARGETS)
+            assert got == {f"ccr_at_fpr_{t:g}": scan(points, t) for t in TARGETS}
+            assert all(type(v) is float for v in got.values())
+
+    def test_points_built_once_on_first_read(self):
+        curve = oscr_curve(random_predictions(np.random.default_rng(8)))
+        summary(curve)
+        assert "points" not in vars(curve)  # the sweep and summary read the arrays
+        points = curve.points
+        assert curve.points is points
+        assert points == list(zip(curve.thresholds.tolist(), curve.ccr.tolist(),
+                                  curve.fpr.tolist()))
 
 
 class TestScoreTestSet:
@@ -245,8 +268,12 @@ TARGETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.3, 0.5, 1.0)
 
 def assert_sweep_matches(preds):
     """OSCR points equal to the per-row reference's, so the summaries are too."""
-    curve = oscr_curve(preds)
-    assert curve.points == ref.oscr_curve(preds).points
+    curve, ref_curve = oscr_curve(preds), ref.oscr_curve(preds)
+    for name in ("thresholds", "ccr", "fpr"):
+        column = getattr(curve, name)
+        assert column.dtype == np.float64
+        assert np.array_equal(column, getattr(ref_curve, name))
+    assert curve.points == ref_curve.points
     assert all(type(x) is float for point in curve.points for x in point)
     assert all(type(v) is float for v in summary(curve, TARGETS).values())
     return curve
@@ -392,11 +419,12 @@ class TestScalingBenchmark:
         # The time 4 layers add to a 1-layer net against the time 2 layers
         # add: a per-layer cost that the fixed costs, the first layer (no R)
         # and the last (RF only) do not move. Depths alternate so that
-        # machine drift hits all alike.
+        # machine drift hits all alike, and each depth takes the median of
+        # its samples, which one sample slowed or sped by load cannot move.
         times = {1: [], 3: [], 5: []}
         for _ in range(5):
             for layers in times:
                 out = scaling_benchmark(n_grid=(1024,), num_layers=layers, repeats=10)
                 times[layers].append(out["rows"][0].seconds)
-        base = min(times[1])
-        assert (min(times[5]) - base) / (min(times[3]) - base) <= 2.6
+        base, three, five = (float(np.median(times[layers])) for layers in (1, 3, 5))
+        assert (five - base) / (three - base) <= 2.6
