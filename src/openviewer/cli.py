@@ -161,13 +161,22 @@ def _train_config(config: dict, seed):
     return cfg
 
 
+def _load_split(path):
+    from .dataset import OpennessSplit, SplitError
+
+    try:
+        return OpennessSplit.from_json(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise SplitError(f"split file {path}: {exc}") from exc
+
+
 def _cmd_train(args, config):
-    from .dataset import OpennessSplit, load
+    from .dataset import load
     from .trainer import save_checkpoint, train
 
     cfg = _train_config(config, args.seed)
     dataset = load(args.manifest)
-    split = OpennessSplit.from_json(Path(args.split).read_text())
+    split = _load_split(args.split)
     params, centers, log = train(dataset, split, cfg)
     out = Path(args.out)
     save_checkpoint(params, centers, cfg, out / "checkpoint.json")
@@ -182,14 +191,14 @@ def _cmd_train(args, config):
 
 
 def _cmd_eval(args, config):
-    from .dataset import OpennessSplit, load
+    from .dataset import load
     from .evaluation import EvalConfig, oscr_curve, score_with_codes, summary as ccr_summary
     from .trainer import load_checkpoint
 
     eval_cfg = _dataclass_from_dict(EvalConfig, _section(config, "eval"), "eval")
     params, _, train_cfg = load_checkpoint(args.checkpoint)
     dataset = load(args.manifest)
-    split = OpennessSplit.from_json(Path(args.split).read_text())
+    split = _load_split(args.split)
     preds, fused = score_with_codes(
         params, dataset, split, config=eval_cfg, normalize=train_cfg.get("normalize", True)
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +95,16 @@ class OpennessSplit:
 
     @classmethod
     def from_json(cls, text: str) -> "OpennessSplit":
+        """Parse `to_json`'s output; missing or unknown keys raise `SplitError`."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise SplitError(f"split must be a JSON object, got {type(data).__name__}")
+        names = {f.name for f in fields(cls)}
+        if data.keys() != names:
+            raise SplitError(
+                f"split keys: missing {sorted(names - data.keys())}, "
+                f"unknown {sorted(data.keys() - names)}"
+            )
         return cls(**data)
 
 
@@ -212,6 +221,23 @@ def zscore_normalize(
         name=dataset.name,
     )
     return normalized, stats
+
+
+def checked_indices(indices, n_samples: int, name: str, error=SplitError) -> np.ndarray:
+    """`indices` as a 1-D intp array of row numbers in [0, n_samples);
+    otherwise `error`, naming `name` and the first bad entries."""
+    rows = np.asarray(indices)
+    if rows.ndim != 1:
+        raise error(f"{name} must be 1-D, got shape {rows.shape}")
+    if rows.dtype.kind in "iu":
+        bad = rows[(rows < 0) | (rows >= n_samples)]
+        what = f"outside [0, {n_samples})"
+    else:
+        bad = rows
+        what = f"not integers ({rows.dtype})"
+    if bad.size:
+        raise error(f"{name}: {bad.size} of {rows.size} entries {what}, first {bad[:5].tolist()}")
+    return rows.astype(np.intp, copy=False)
 
 
 def achieved_openness(known_count: int, total_classes: int) -> float:

@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor_core as tc
-from .dataset import Batch, MultiViewDataset, OpennessSplit, norm_stats
-from .losses import CenterState, unknown_loss
+from .dataset import Batch, MultiViewDataset, OpennessSplit, checked_indices, norm_stats
+from .losses import CenterState, LossConfig, total_loss
 from .unfold_net import UnfoldParams, forward, predict, rf_forward
 from .admm_oracle import power_iteration_norm
 
@@ -101,7 +101,8 @@ def score_with_codes(
         raise MetricError(
             f"checkpoint has {params.num_classes} classes, split has {len(known)}"
         )
-    rows = _checked_indices(split.test_idx if indices is None else indices, dataset.n_samples)
+    rows = checked_indices(split.test_idx if indices is None else indices,
+                           dataset.n_samples, "indices", MetricError)
     views = [v[rows] for v in dataset.views]
     if normalize:
         # zscore_normalize's elementwise arithmetic, on the scored rows only
@@ -131,24 +132,6 @@ def score_with_codes(
         map(set(split.unknown_classes).__contains__, labels),
     )
     return list(map(tuple.__new__, repeat(ScoredPrediction), zip(*cols))), fused
-
-
-def _checked_indices(indices, n_samples: int) -> np.ndarray:
-    """`indices` as a 1-D intp array of row numbers in [0, n_samples)."""
-    rows = np.asarray(indices)
-    if rows.ndim != 1:
-        raise MetricError(f"indices must be 1-D, got shape {rows.shape}")
-    if rows.dtype.kind in "iu":
-        bad = rows[(rows < 0) | (rows >= n_samples)]
-        what = f"outside [0, {n_samples})"
-    else:
-        bad = rows
-        what = f"not integers ({rows.dtype})"
-    if bad.size:
-        raise MetricError(
-            f"indices: {bad.size} of {rows.size} entries {what}, first {bad[:5].tolist()}"
-        )
-    return rows.astype(np.intp, copy=False)
 
 
 def oscr_curve(preds: list[ScoredPrediction]) -> OscrCurve:
@@ -257,6 +240,7 @@ def _forward_backward_seconds(params: UnfoldParams, n: int, seed: int, repeats: 
     views = [rng.normal(size=(n, d)) for d in params.view_dims]
     labels = rng.integers(0, params.num_classes, size=n)
     batch = Batch(views=views, labels=labels, is_pseudo=np.zeros(n, dtype=bool))
+    centers = np.zeros((params.num_classes, params.num_classes))
     times = []
     gc_was_enabled = gc.isenabled()
     gc.collect()
@@ -265,7 +249,7 @@ def _forward_backward_seconds(params: UnfoldParams, n: int, seed: int, repeats: 
         for _ in range(repeats + 1):
             t0 = time.perf_counter()
             res = forward(batch, params, labels_for_fusion=labels)
-            tc.backward(unknown_loss(res.z_fused))
+            tc.backward(total_loss(res.z_fused, labels, batch.is_pseudo, centers, LossConfig())[0])
             times.append(time.perf_counter() - t0)
     finally:
         if gc_was_enabled:

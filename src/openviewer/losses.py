@@ -57,8 +57,7 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 # and a VJP that lists the term's contributions to the gradient of its
 # input, in the order a fine-grained graph (`row_log_softmax`,
 # `row_l2_norms`, `relu`, ... in `tests/fine_ops.py`) would add them.
-# `known_loss`, `unknown_loss` and `center_loss` wrap one kernel each as a
-# tape op; `total_loss` builds a single op from all three.
+# `total_loss` builds the one loss op on the tape from all three.
 
 
 def _log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,8 +70,6 @@ def _log_softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _known_term(z: np.ndarray, labels, xi: float):
     n, c = z.shape
-    if n < 1:
-        raise LossError("known_loss needs at least one sample")
     onehot = _one_hot(labels, c)
     log_p, p = _log_softmax(z)
     ce = np.array([[(onehot * log_p).sum()]]) * (-1.0 / n)
@@ -96,9 +93,7 @@ def _known_term(z: np.ndarray, labels, xi: float):
 
 
 def _unknown_term(z: np.ndarray):
-    n, c = z.shape
-    if n < 1:
-        raise LossError("unknown_loss needs at least one sample")
+    c = z.shape[1]
     log_p, p = _log_softmax(z)
     flat = np.array([[log_p.sum()]]) * (-1.0 / c)
 
@@ -116,43 +111,13 @@ def _center_term(z: np.ndarray, labels, centers: np.ndarray):
     gathered = centers[labels]
     if not np.isfinite(gathered).all():
         raise LossError("centers contain non-finite entries")
-    tc.check_same_shape(z, gathered, "center_loss")
+    tc.check_same_shape(z, gathered, "total_loss")
     diff = z - gathered
 
     def vjp(g):
         return [2.0 * (g * 0.5)[0, 0] * diff]
 
     return np.array([[(diff * diff).sum()]]) * 0.5, vjp
-
-
-def _term_op(term, z, *args):
-    """One loss term on `z` as a tape op (a plain array for a plain `z`)."""
-
-    def kernel(z_value):
-        value, vjp = term(z_value, *args)
-        return value, lambda g: ((0, part) for part in vjp(g))
-
-    return tc.custom_op(kernel, z)
-
-
-def known_loss(z_known, labels, xi: float):
-    """Mean cross-entropy plus the summed squared norm-margin hinge."""
-    return _term_op(_known_term, z_known, labels, xi)
-
-
-def unknown_loss(z_pseudo):
-    """Confidence-flattening term plus the summed squared row norms."""
-    return _term_op(_unknown_term, z_pseudo)
-
-
-def center_loss(z_known, labels, centers: np.ndarray):
-    """Half the summed squared distance to each row's class center.
-
-    Centers enter as constants; they are updated by `update_centers`, not
-    by gradient descent. Non-finite centers of the batch's classes raise
-    `LossError`.
-    """
-    return _term_op(_center_term, z_known, labels, centers)
 
 
 def update_centers(
@@ -184,8 +149,11 @@ def total_loss(
     and the scalar parts.
 
     Labels of pseudo rows are ignored (they carry the synthetic unknown
-    label); known rows must exist. Calling tensor_core.backward on the
-    returned node populates the gradients of every bound parameter.
+    label); known rows must exist. `centers` enter as constants: they are
+    refreshed by `update_centers`, not by gradient descent, and non-finite
+    centers of the batch's classes raise `LossError`. Calling
+    tensor_core.backward on the returned node populates the gradients of
+    every bound parameter.
     """
     config.validate()
     labels = np.asarray(labels, dtype=np.int64)

@@ -20,7 +20,8 @@ from . import CHECKPOINT_SCHEMA_VERSION
 from . import tensor_core as tc
 from ._io import atomic_write_text, canonical_json, float_repr
 from .admm_oracle import AdmmConfig, solve
-from .dataset import Batch, MultiViewDataset, OpennessSplit, make_batches, zscore_normalize
+from .dataset import MultiViewDataset, OpennessSplit, SplitError, checked_indices, make_batches
+from .dataset import zscore_normalize
 from .losses import (
     CenterState,
     LossConfig,
@@ -168,23 +169,33 @@ def train(
 ) -> tuple[UnfoldParams, CenterState, TrainLog]:
     """Run the full loop; deterministic given the config seed.
 
-    Finiteness is checked explicitly every batch (diverging runs abort with
-    a diagnostic), so numpy's own overflow warnings stay silenced here.
+    The split is checked against `dataset` first (`SplitError`). Finiteness
+    is checked explicitly every batch (diverging runs abort with a
+    diagnostic), so numpy's own overflow warnings stay silenced here.
     """
     config.validate()
-    known = sorted(split.known_classes)
+    known = checked_indices(split.known_classes, dataset.class_count, "split.known_classes")
+    if np.unique(known).size != known.size:
+        raise SplitError(f"split.known_classes: repeated entries in {known.tolist()}")
     if len(known) < 2:
         raise TrainerError("training needs at least 2 known classes")
-    remap = {cls: i for i, cls in enumerate(known)}
     num_classes = len(known)
+    # class id -> training label; -1 for classes outside the split's known set
+    lut = np.full(dataset.class_count, -1, dtype=np.int64)
+    lut[np.sort(known)] = np.arange(num_classes)
+    rows = checked_indices(split.train_idx, dataset.n_samples, "split.train_idx")
+    stray = rows[lut[dataset.labels[rows]] < 0]
+    if stray.size:
+        raise SplitError(f"split.train_idx: {stray.size} of {rows.size} rows are not of a "
+                         f"class in split.known_classes, first {stray[:5].tolist()}")
 
     work = dataset
     if config.normalize:
-        work, _ = zscore_normalize(dataset, split.train_idx)
+        work, _ = zscore_normalize(dataset, rows)
 
     warm = None
     if config.warm_start:
-        train_views = [v[np.asarray(split.train_idx)] for v in work.views]
+        train_views = [v[rows] for v in work.views]
         warm = solve(train_views, config.admm, code_dim=num_classes)
 
     expected_rows = config.batch_size + math.ceil(
@@ -226,16 +237,12 @@ def train(
         if not batches:
             raise TrainerError("split has no training samples")
         for b_idx, batch in enumerate(batches):
-            remapped = Batch(
-                views=batch.views,
-                labels=np.array([remap[c] for c in batch.labels], dtype=np.int64),
-                is_pseudo=batch.is_pseudo,
-            )
+            batch.labels = lut[batch.labels]
             try:
-                combined = generate_pseudo(remapped, mix, beta_rng)
+                combined = generate_pseudo(batch, mix, beta_rng)
             except GenerationError as exc:
                 logger.warning("epoch %d batch %d: %s; skipping pseudo rows", epoch, b_idx, exc)
-                combined = remapped
+                combined = batch
 
             try:
                 res = forward(combined, params, labels_for_fusion=combined.labels)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +250,53 @@ class TestPipeline:
         ])
         payload = json.loads((run / "checkpoint.json").read_text())
         assert payload["schema_version"] == CHECKPOINT_SCHEMA_VERSION
+
+
+def rows_of_class(data_dir, cls):
+    labels = np.loadtxt(data_dir / "labels.csv", dtype=np.int64)
+    return np.flatnonzero(labels == cls).tolist()
+
+
+class TestBadSplitFile:
+    """`train` exits 2 on a split file that does not fit, and the message
+    names the file or the field."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s, d: s["train_idx"].append(-21), r"split\.train_idx: .*first \[-21\]"),
+        (lambda s, d: s["train_idx"].append(s["train_idx"][0] - 60),
+         r"split\.train_idx: .*first \[-\d+\]"),
+        (lambda s, d: s["train_idx"].append(10**6), r"split\.train_idx: .*first \[1000000\]"),
+        (lambda s, d: s["train_idx"].append(rows_of_class(d, s["unknown_classes"][0])[0]),
+         r"split\.train_idx: 1 of \d+ rows are not of a class in split\.known_classes"),
+        (lambda s, d: s["known_classes"].append(7), r"split\.known_classes: .*first \[7\]"),
+        (lambda s, d: s.update(extra=1), r"split file .*split\.json: .*unknown \['extra'\]"),
+        (lambda s, d: s.pop("seed"), r"split file .*split\.json: .*missing \['seed'\]"),
+    ], ids=["negative_row", "negative_known_row", "row_past_end", "unknown_class_row",
+            "class_past_end", "extra_key", "missing_key"])
+    def test_train_rejects(self, workspace, caplog, edit, message):
+        tmp_path, cfg, data_dir = workspace
+        path = tmp_path / "split.json"
+        split = json.loads(path.read_text())
+        edit(split, data_dir)
+        path.write_text(json.dumps(split))
+        run = tmp_path / "run"
+        assert main([
+            "train", "--manifest", str(data_dir / "manifest.json"), "--split", str(path),
+            "--config", str(cfg), "--out", str(run), "--quiet",
+        ]) == EXIT_RUNTIME
+        assert re.search(message, caplog.text)
+        assert not (run / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json"], ids=["not_object", "not_json"])
+    def test_unreadable_split_names_file(self, workspace, caplog, text):
+        tmp_path, cfg, data_dir = workspace
+        path = tmp_path / "split.json"
+        path.write_text(text)
+        assert main([
+            "train", "--manifest", str(data_dir / "manifest.json"), "--split", str(path),
+            "--config", str(cfg), "--out", str(tmp_path / "run"), "--quiet",
+        ]) == EXIT_RUNTIME
+        assert f"split file {path}:" in caplog.text
 
 
 class TestGradcheckCommand:

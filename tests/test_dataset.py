@@ -176,6 +176,16 @@ class TestOpennessSplit:
         again = OpennessSplit.from_json(split.to_json())
         assert again == split
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("train_idx"), r"missing \['train_idx'\], unknown \[\]"),
+        (lambda d: d.update(note="x"), r"missing \[\], unknown \['note'\]"),
+    ], ids=["missing_key", "unknown_key"])
+    def test_split_json_keys_checked(self, edit, message):
+        data = json.loads(openness_split(tiny_dataset(), 0.2, (0.5, 0.25, 0.25), seed=0).to_json())
+        edit(data)
+        with pytest.raises(SplitError, match=message):
+            OpennessSplit.from_json(json.dumps(data))
+
 
 class TestBatches:
     def test_single_batch(self):

@@ -7,13 +7,12 @@ import openviewer.tensor_core as tc
 from openviewer.losses import (
     LossConfig,
     LossError,
+    _center_term,
+    _unknown_term,
     batch_stats,
-    center_loss,
     gradient_bound,
-    known_loss,
     measured_gradient_norm,
     total_loss,
-    unknown_loss,
     update_centers,
 )
 
@@ -21,50 +20,72 @@ import fine_ops as fo
 import fine_reference as ref
 
 
+def known_only(z, labels, xi):
+    """The known term alone: `total_loss` with lambda1 = lambda2 = 0 and
+    every row known."""
+    labels = np.asarray(labels)
+    c = tc.value_of(z).shape[1]
+    cfg = LossConfig(xi=xi, lambda1=0.0, lambda2=0.0)
+    return total_loss(z, labels, np.zeros(labels.size, bool), np.zeros((c, c)), cfg)[0]
+
+
+def term_op(term, *args):
+    """A private term kernel as a tape op on its first input."""
+
+    def op(z):
+        def kernel(value):
+            out, vjp = term(value, *args)
+            return out, lambda g: ((0, part) for part in vjp(g))
+
+        return tc.custom_op(kernel, z)
+
+    return op
+
+
 class TestKnownLoss:
     def test_perfect_sample_vanishes(self):
         z = np.array([[50.0, 0.0, 0.0, 0.0, 0.0]])
-        out = known_loss(tc.leaf(z), [0], xi=5.0)
+        out = known_only(tc.leaf(z), [0], xi=5.0)
         assert out.item() < 1e-10
 
     def test_zero_logits_closed_form(self):
-        out = known_loss(tc.leaf(np.zeros((1, 5))), [0], xi=5.0)
+        out = known_only(tc.leaf(np.zeros((1, 5))), [0], xi=5.0)
         assert out.item() == pytest.approx(math.log(5.0) + 25.0, rel=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(LossError):
-            known_loss(tc.leaf(np.zeros((1, 3))), [3], xi=1.0)
+            known_only(tc.leaf(np.zeros((1, 3))), [3], xi=1.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         z0 = rng.normal(size=(8, 5)) * 2.0
         labels = rng.integers(0, 5, size=8)
         err = fo.finite_diff_check(
-            lambda n: known_loss(n[0], labels, xi=3.0), [tc.leaf(z0)]
+            lambda n: known_only(n[0], labels, xi=3.0), [tc.leaf(z0)]
         )
         assert err < 1e-4
 
 
 class TestUnknownLoss:
     def test_uniform_point_closed_form(self):
-        out = unknown_loss(tc.leaf(np.zeros((1, 4))))
+        out = term_op(_unknown_term)(tc.leaf(np.zeros((1, 4))))
         assert out.item() == pytest.approx(math.log(4.0), rel=1e-12)
 
     def test_zero_row_minimizes_flattening_part(self):
         # perturbing a single logit away from the uniform point must not
         # lower the cross-entropy flattening term
         base = np.zeros((1, 4))
-        flat0 = unknown_loss(tc.leaf(base)).item()  # norm part is 0 here
+        flat0 = _unknown_term(base)[0][0, 0]  # norm part is 0 here
         for delta in (0.1, -0.1):
             z = base.copy()
             z[0, 0] += delta
-            bumped = unknown_loss(tc.leaf(z)).item() - np.sum(z * z)
+            bumped = _unknown_term(z)[0][0, 0] - np.sum(z * z)
             assert bumped > flat0 - 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         z0 = rng.normal(size=(6, 5))
-        err = fo.finite_diff_check(lambda n: unknown_loss(n[0]), [tc.leaf(z0)])
+        err = fo.finite_diff_check(lambda n: term_op(_unknown_term)(n[0]), [tc.leaf(z0)])
         assert err < 1e-4
 
 
@@ -72,12 +93,12 @@ class TestCenterLoss:
     def test_zero_at_centers(self):
         centers = np.array([[1.0, 2.0], [3.0, 4.0]])
         z = centers[[0, 1, 1]]
-        out = center_loss(tc.leaf(z), [0, 1, 1], centers)
-        assert out.item() == 0.0
+        out, _ = _center_term(z, [0, 1, 1], centers)
+        assert out[0, 0] == 0.0
 
     def test_hand_value(self):
-        out = center_loss(tc.leaf(np.zeros((1, 2))), [0], np.array([[1.0, 1.0]]))
-        assert out.item() == pytest.approx(1.0)
+        out, _ = _center_term(np.zeros((1, 2)), [0], np.array([[1.0, 1.0]]))
+        assert out[0, 0] == pytest.approx(1.0)
 
     def test_gradient_is_difference_to_center(self):
         rng = np.random.default_rng(2)
@@ -85,10 +106,10 @@ class TestCenterLoss:
         z0 = rng.normal(size=(5, 4))
         labels = np.array([0, 1, 2, 0, 1])
         node = tc.leaf(z0)
-        tc.backward(center_loss(node, labels, centers))
+        tc.backward(term_op(_center_term, labels, centers)(node))
         assert np.allclose(node.grad, z0 - centers[labels], atol=1e-12)
         err = fo.finite_diff_check(
-            lambda n: center_loss(n[0], labels, centers), [tc.leaf(z0)]
+            lambda n: term_op(_center_term, labels, centers)(n[0]), [tc.leaf(z0)]
         )
         assert err < 1e-5
 
@@ -137,10 +158,8 @@ class TestTotalLoss:
         z, labels, is_pseudo, centers = self._batch()
         cfg = LossConfig(xi=2.0, lambda1=0.0, lambda2=0.0)
         node, parts = total_loss(tc.leaf(z), labels, is_pseudo, centers, cfg)
-        known_only = known_loss(
-            tc.leaf(z[~is_pseudo]), labels[~is_pseudo], cfg.xi
-        ).item()
-        assert node.item() == known_only
+        alone = known_only(tc.leaf(z[~is_pseudo]), labels[~is_pseudo], cfg.xi).item()
+        assert node.item() == alone
         assert parts["unknown"] == 0.0 and parts["center"] == 0.0
 
     def test_all_sublosses_zero(self):
@@ -255,8 +274,8 @@ def loss_and_grad(op, z):
 
 
 class TestLossOpsMatchFineGraph:
-    """Each loss term (and their weighted sum) is one tape op whose value
-    and input gradient equal the fine-grained graph bit for bit."""
+    """The one loss op, and each term's kernel run as a tape op, give the
+    fine-grained graph's value and input gradient bit for bit."""
 
     def _rows(self, seed, n=9, c=5):
         # row norms on both sides of the hinge margin xi = 2.5
@@ -276,20 +295,20 @@ class TestLossOpsMatchFineGraph:
             norms = np.linalg.norm(z, axis=1)
             assert np.any(norms < 2.5) and np.any(norms > 2.5)
             labels = rng.integers(0, 5, size=z.shape[0])
-            self._assert_same(lambda n: known_loss(n, labels, 2.5),
+            self._assert_same(lambda n: known_only(n, labels, 2.5),
                               lambda n: ref.known_loss(n, labels, 2.5), z)
 
     def test_unknown_loss(self):
         for seed in range(5):
             z, _ = self._rows(seed)
-            self._assert_same(unknown_loss, ref.unknown_loss, z)
+            self._assert_same(term_op(_unknown_term), ref.unknown_loss, z)
 
     def test_center_loss(self):
         for seed in range(5):
             z, rng = self._rows(seed)
             labels = rng.integers(0, 5, size=z.shape[0])
             centers = rng.normal(size=(5, 5))
-            self._assert_same(lambda n: center_loss(n, labels, centers),
+            self._assert_same(term_op(_center_term, labels, centers),
                               lambda n: ref.center_loss(n, labels, centers), z)
 
     @pytest.mark.parametrize("n_pseudo", [0, 4])
@@ -310,10 +329,11 @@ class TestLossOpsMatchFineGraph:
         z = np.zeros((3, 2))
         centers = np.array([[0.0, 1.0], [np.nan, 0.0]])
         with pytest.raises(LossError, match="centers"):
-            center_loss(tc.leaf(z), [0, 1, 1], centers)
+            _center_term(z, [0, 1, 1], centers)
         with pytest.raises(LossError, match="centers"):
             total_loss(tc.leaf(z), [0, 1, 1], np.zeros(3, bool), centers, LossConfig())
 
     def test_center_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(tc.ShapeError, match=r"\(3, 2\) vs \(3, 4\)"):
-            center_loss(tc.leaf(np.zeros((3, 2))), [0, 1, 1], np.zeros((2, 4)))
+        with pytest.raises(tc.ShapeError, match=r"total_loss: .*\(3, 2\) vs \(3, 4\)"):
+            total_loss(tc.leaf(np.zeros((3, 2))), [0, 1, 1], np.zeros(3, bool),
+                       np.zeros((2, 4)), LossConfig())

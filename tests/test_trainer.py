@@ -6,7 +6,7 @@ import pytest
 
 from openviewer import synthgen, unfold_net
 from openviewer.admm_oracle import AdmmConfig
-from openviewer.dataset import openness_split
+from openviewer.dataset import SplitError, openness_split
 from openviewer.losses import LossConfig
 from openviewer.trainer import (
     CheckpointError,
@@ -184,6 +184,37 @@ class TestTrain:
         lines = text.strip().split("\n")
         assert lines[0].startswith("epoch,total_loss,known_loss,unknown_loss,center_loss,ema_w0")
         assert len(lines) == 3
+
+
+class TestSplitChecks:
+    """A split that does not fit its dataset fails before training, naming
+    the field and the first bad entries."""
+
+    @pytest.mark.parametrize("edit, message", [
+        # wraps to a known-class row when used as an index
+        (lambda d, s: s.train_idx.append(s.train_idx[0] - d.n_samples),
+         r"split\.train_idx: 1 of \d+ entries outside \[0, 60\), first \[-\d+\]"),
+        (lambda d, s: s.train_idx.append(10**6),
+         r"split\.train_idx: 1 of \d+ entries outside \[0, 60\), first \[1000000\]"),
+        (lambda d, s: s.train_idx.append(1.5),
+         r"split\.train_idx: \d+ of \d+ entries not integers \(float64\)"),
+        (lambda d, s: s.train_idx.append(int(np.flatnonzero(d.labels == s.unknown_classes[0])[0])),
+         r"split\.train_idx: 1 of \d+ rows are not of a class in split\.known_classes, "
+         r"first \[\d+\]$"),
+        (lambda d, s: s.known_classes.append(99),
+         r"split\.known_classes: 1 of \d+ entries outside \[0, 5\), first \[99\]"),
+        (lambda d, s: s.known_classes.append(-1),
+         r"split\.known_classes: 1 of \d+ entries outside \[0, 5\), first \[-1\]"),
+        # would train a model with one class too many
+        (lambda d, s: s.known_classes.append(s.known_classes[0]),
+         r"split\.known_classes: repeated entries in \[2, 4, 2\]"),
+    ], ids=["negative_row", "row_past_end", "float_row", "unknown_class_row",
+            "class_past_end", "negative_class", "repeated_class"])
+    def test_bad_split_rejected(self, edit, message):
+        dataset, split = tiny_run_inputs()
+        edit(dataset, split)
+        with pytest.raises(SplitError, match=message):
+            train(dataset, split, quick_config(epochs=1))
 
 
 class TestCheckpoints:
