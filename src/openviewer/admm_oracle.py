@@ -5,7 +5,7 @@
                + beta/2 ||D_v||_F^2 + gamma ||E_v||_{2,1}
 
 via proximal-gradient steps for Z and E and a closed-form ridge solve for
-D. This module is intentionally self-contained plain numpy/scipy code: it
+D. This module is intentionally self-contained plain numpy code: it
 serves as the independent numerical reference for the unfolded network, so
 its solver steps share no code paths with the differentiable
 implementation. One routine is shared: `power_iteration_norm`, which
@@ -18,18 +18,18 @@ starts a view's power iteration from the leading vector the previous
 call ended on (`AdmmState.lead`), since D D^T turns little between
 iterations.
 
-scipy's LAPACK is imported inside `d_step`, its one user, not at module
-level: `unfold_net`, `evaluation`, `trainer` and `cli` import this module
-for `power_iteration_norm` and the config types, and loading scipy.linalg
-would cost every training or eval process about 25 MB of RSS and 0.2 s
-of start-up, and nearly double the objects the cyclic GC walks.
+The D step factors with numpy's own Cholesky, so numpy is the one
+library the solver needs: an `oracle` process or a warm-started training
+run loads no second linear-algebra package, which would cost about 20 MB
+of RSS and 0.15 s of start-up per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +78,8 @@ class AdmmState:
     D D^T, the start of the next one; None means a cold start. `fit` holds
     X - Z D at the stored Z and D, as `e_step` formed it, for `objective`
     to reuse; the Z and D steps clear it, and None means recompute.
+    The steps build each new state positionally, in this field order,
+    sharing the fields they leave unchanged and the trace list.
     """
 
     z: list[np.ndarray]
@@ -156,20 +158,29 @@ def lipschitz(d: np.ndarray, start: np.ndarray | None = None) -> float:
     return LIPSCHITZ_SAFETY * power_iteration_norm(d @ d.T, start=start)
 
 
+@functools.lru_cache(maxsize=8)
+def _eye(c: int) -> np.ndarray:
+    """The c x c identity, read-only, as every Z and D step shares it."""
+    eye = np.eye(c)
+    eye.flags.writeable = False
+    return eye
+
+
 def _soft(a: np.ndarray, t: float) -> np.ndarray:
     return np.sign(a) * np.maximum(np.abs(a) - t, 0.0)
 
 
 def _group_soft(a: np.ndarray, t: float, axis: str) -> np.ndarray:
     ax = 0 if axis == "columns" else 1
-    norms = np.sqrt(np.sum(a * a, axis=ax, keepdims=True))
+    # np.add.reduce, here and below, is what np.sum runs, minus its wrapper
+    norms = np.sqrt(np.add.reduce(a * a, axis=ax, keepdims=True))
     safe = np.where(norms > t, norms, 1.0)
     return np.where(norms > t, (norms - t) / safe, 0.0) * a
 
 
 def _group_norm_sum(a: np.ndarray, axis: str) -> float:
     ax = 0 if axis == "columns" else 1
-    return float(np.sum(np.sqrt(np.sum(a * a, axis=ax))))
+    return float(np.add.reduce(np.sqrt(np.add.reduce(a * a, axis=ax))))
 
 
 def objective(state: AdmmState, x_views: list[np.ndarray], config: AdmmConfig) -> float:
@@ -178,9 +189,9 @@ def objective(state: AdmmState, x_views: list[np.ndarray], config: AdmmConfig) -
     total = 0.0
     for fit, zv, dv, ev in zip(fits, state.z, state.d, state.e):
         resid = fit - ev
-        total += 0.5 * float(np.sum(resid * resid))
-        total += config.alpha * float(np.sum(np.abs(zv)))
-        total += 0.5 * config.beta * float(np.sum(dv * dv))
+        total += 0.5 * float(np.add.reduce(resid * resid, axis=None))
+        total += config.alpha * float(np.add.reduce(np.abs(zv), axis=None))
+        total += 0.5 * config.beta * float(np.add.reduce(dv * dv, axis=None))
         total += config.gamma * _group_norm_sum(ev, config.group_axis)
     return total
 
@@ -189,38 +200,45 @@ def z_step(state: AdmmState, x_views: list[np.ndarray], config: AdmmConfig) -> A
     """Proximal-gradient update of every Z_v at the stored step sizes."""
     new_z = []
     for xv, zv, dv, ev, lp in zip(x_views, state.z, state.d, state.e, state.l_p):
-        eye = np.eye(dv.shape[0])
-        pre = zv @ (eye - (dv @ dv.T) / lp) + ((xv - ev) @ dv.T) * (1.0 / lp)
+        pre = zv @ (_eye(dv.shape[0]) - (dv @ dv.T) / lp) + ((xv - ev) @ dv.T) * (1.0 / lp)
         new_z.append(_soft(pre, config.alpha / lp))
-    return replace(state, z=new_z, fit=None)
+    return AdmmState(new_z, state.d, state.e, state.l_p, state.objective_trace, state.lead)
 
 
 def d_step(state: AdmmState, x_views: list[np.ndarray], config: AdmmConfig) -> AdmmState:
     """Exact ridge solve for every D_v; refreshes the step-size constants.
 
+    Every view's system (Z_v^T Z_v + beta I) D_v = Z_v^T (X_v - E_v) is
+    c x c, c the code width the views share, so one stacked Cholesky
+    factors them all, L_v L_v^T = Z_v^T Z_v + beta I, and
+    D_v = L_v^-T (L_v^-1 Z_v^T (X_v - E_v)) through the inverted factors.
     Each view's power iteration starts from a copy of its `lead` vector,
     so the input state is left as it was.
     """
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
-    new_d, new_lp, new_lead = [], [], []
+    c = state.z[0].shape[1]
+    eye = _eye(c)
+    lhs, rhs = [], []
     for v, (xv, zv, ev) in enumerate(zip(x_views, state.z, state.e)):
-        c = zv.shape[1]
-        lhs = zv.T @ zv + config.beta * np.eye(c)
-        rhs = zv.T @ (xv - ev)
-        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        gram = zv.T @ zv + config.beta * eye
+        proj = zv.T @ (xv - ev)
+        if not (np.isfinite(gram).all() and np.isfinite(proj).all()):
             raise ValueError(f"dictionary system of view {v} has non-finite entries")
-        chol, info = dpotrf(lhs, lower=0)
-        if info > 0:
-            raise FactorizationError(
-                f"dictionary system not SPD (condition ~{np.linalg.cond(lhs):.3e})"
-            )
-        dv, _ = dpotrs(chol, rhs, lower=0)
+        lhs.append(gram)
+        rhs.append(proj)
+    try:
+        chol = np.linalg.cholesky(np.stack(lhs))
+    except np.linalg.LinAlgError:
+        raise FactorizationError(
+            f"dictionary system not SPD (condition ~{max(map(np.linalg.cond, lhs)):.3e})"
+        ) from None
+    new_d, new_lp, new_lead = [], [], []
+    for v, (inv, proj) in enumerate(zip(np.linalg.inv(chol), rhs)):
+        dv = inv.T @ (inv @ proj)
         lead = _cold_start(c) if state.lead is None else state.lead[v].copy()
         new_d.append(dv)
         new_lp.append(lipschitz(dv, start=lead))
         new_lead.append(lead)
-    return replace(state, d=new_d, l_p=new_lp, lead=new_lead, fit=None)
+    return AdmmState(state.z, new_d, state.e, new_lp, state.objective_trace, new_lead)
 
 
 def e_step(state: AdmmState, x_views: list[np.ndarray], config: AdmmConfig) -> AdmmState:
@@ -231,7 +249,7 @@ def e_step(state: AdmmState, x_views: list[np.ndarray], config: AdmmConfig) -> A
         fit = xv - zv @ dv
         new_e.append(_group_soft(fit, thresh, config.group_axis))
         fits.append(fit)
-    return replace(state, e=new_e, fit=fits)
+    return AdmmState(state.z, state.d, new_e, state.l_p, state.objective_trace, state.lead, fits)
 
 
 def init_state(x_views: list[np.ndarray], config: AdmmConfig, code_dim: int) -> AdmmState:

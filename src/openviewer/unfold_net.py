@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,9 +77,10 @@ def param_shapes(view_dims, num_classes: int, num_layers: int, ablation: str = "
 
 
 def _checked(name: str, value, shape: tuple) -> np.ndarray:
-    """`value` as a finite float64 array of `shape`; a ValueError names `name`."""
+    """`value` as a finite C-contiguous float64 array of `shape`; a
+    ValueError names `name`."""
     try:
-        a = np.asarray(value, dtype=np.float64)
+        a = np.ascontiguousarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} is not a numeric array: {exc}") from exc
     if a.shape != shape:
@@ -228,7 +230,12 @@ def _residual(x, e_prev, op: str):
 
 
 def _threshold(value, name: str) -> float:
+    """A threshold as a float: NumericError if it is not finite (a NaN or
+    infinite one would zero the codes or noise silently), DomainError if
+    it is negative."""
     t = tc.check_scalar(value, name)
+    if not math.isfinite(t):
+        raise tc.NumericError(f"{name} is not finite: {t}")
     if t < 0.0:
         raise tc.DomainError(f"{name} must be >= 0, got {t}")
     return t
@@ -436,6 +443,9 @@ def forward(
 
     Inference runs the same kernels on plain arrays: it binds no
     parameter nodes and records nothing, and `z_fused` is a plain array.
+    It reads `params.arrays` as they are, checked when `UnfoldParams` was
+    built; a non-finite entry written since then makes the fused code
+    non-finite, or a threshold check raise `tc.NumericError`.
     """
     views = batch.views if hasattr(batch, "views") else list(batch)
     if len(views) != params.n_views:
@@ -445,7 +455,7 @@ def forward(
 
     if inference:
         nodes = {}
-        p = {n: tc.matrix(a) for n, a in params.arrays.items()}
+        p = params.arrays
     else:
         nodes = p = _bind_params(params)
     v_count = params.n_views

@@ -16,10 +16,12 @@ from helpers import FIXTURES, small_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# trains and scores a tiny instance, then runs the oracle; only the
-# oracle's D step may load scipy.linalg
-LAZY_LAPACK_SCRIPT = '''
+# trains a tiny instance cold and warm-started, scores it, solves it and
+# runs the oracle CLI on a synthesized manifest: none of it may load scipy
+NO_SCIPY_SCRIPT = '''
+import json
 import sys
+from dataclasses import asdict, replace
 from openviewer import cli, evaluation, synthgen, trainer
 from openviewer.admm_oracle import AdmmConfig, solve
 from openviewer.dataset import openness_split
@@ -36,11 +38,15 @@ config = trainer.TrainConfig(
     admm=AdmmConfig(alpha=0.01, beta=0.1, gamma=2.0), threshold_step_scale=0.01,
 )
 params, centers, _ = trainer.train(dataset, split, config)
+trainer.train(dataset, split, replace(config, warm_start=True))
 curve = evaluation.oscr_curve(evaluation.score_test_set(params, centers, dataset, split))
 evaluation.summary(curve)
-assert "scipy.linalg" not in sys.modules, "training or scoring loaded scipy.linalg"
 solve(dataset.views, AdmmConfig(max_iter=3), code_dim=4)
-assert "scipy.linalg" in sys.modules, "the oracle ran without loading scipy.linalg"
+with open("spec.json", "w") as f:
+    json.dump(asdict(spec), f)
+assert cli.main(["synth", "--spec", "spec.json", "--out", "data", "--quiet"]) == 0
+assert cli.main(["oracle", "--manifest", "data/manifest.json", "--out", "oracle", "--quiet"]) == 0
+assert "scipy" not in sys.modules, "an openviewer code path loaded scipy"
 '''
 
 
@@ -326,6 +332,22 @@ class TestSteps:
             resid = np.linalg.norm(lhs @ stepped.d[v] - rhs)
             assert resid <= 1e-8 * np.linalg.norm(rhs)
 
+    @pytest.mark.parametrize("c", range(1, 9))
+    def test_d_step_matches_dense_solve(self, c):
+        # views of widths 9 and 7 share the stacked factorization
+        cfg = ao.AdmmConfig(beta=0.3)
+        for seed in range(5):
+            x_views = random_problem(seed=400 + seed, n=20)
+            state = random_state(x_views, c=c, seed=500 + seed)
+            stepped = ao.d_step(state, x_views, cfg)
+            for zv, xv, ev, dv in zip(state.z, x_views, state.e, stepped.d):
+                lhs = zv.T @ zv + cfg.beta * np.eye(c)
+                rhs = zv.T @ (xv - ev)
+                dense = np.linalg.solve(lhs, rhs)
+                assert dv.shape == dense.shape
+                assert np.linalg.norm(dv - dense) <= 1e-12 * np.linalg.norm(dense)
+                assert np.linalg.norm(lhs @ dv - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
     @pytest.mark.parametrize("field_name", ["z", "e"])
     def test_d_step_non_finite_input_raises(self, field_name):
         x_views = random_problem(seed=14)
@@ -403,10 +425,10 @@ class TestSolve:
         with pytest.raises(ValueError):
             ao.solve(random_problem(), ao.AdmmConfig(alpha=0.0), code_dim=3)
 
-    def test_only_the_solver_loads_lapack(self, tmp_path):
+    def test_no_code_path_loads_scipy(self, tmp_path):
         # a fresh interpreter: pytest's own process may hold scipy already
         env = {**os.environ, "PYTHONPATH": str(SRC)}
-        proc = subprocess.run([sys.executable, "-c", LAZY_LAPACK_SCRIPT], cwd=tmp_path,
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], cwd=tmp_path,
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
 

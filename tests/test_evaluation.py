@@ -220,6 +220,19 @@ class TestScoreTestSet:
         with pytest.raises(tc.NumericError, match=message):
             score_test_set(params, centers, dataset, split, normalize=False)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["d_init/1", "r/2/0", "u/0/1", "theta/1/0", "m/0/0",
+                                      "rho/1/1"])
+    def test_non_finite_parameter_written_after_construction_raises(self, name, bad):
+        dataset, split, _, centers = self._setup()
+        params = init_params(dataset.view_dims, len(split.known_classes), seed=0,
+                             num_layers=3)
+        params.fusion_weights_snapshot = np.full(dataset.n_views, 1.0 / dataset.n_views)
+        score_test_set(params, centers, dataset, split, normalize=False)
+        params.arrays[name][0, 0] = bad
+        with pytest.raises(tc.NumericError):
+            score_test_set(params, centers, dataset, split, normalize=False)
+
     def test_norm_scoring_mode(self):
         dataset, split, params, centers = self._setup()
         preds = score_test_set(
