@@ -106,16 +106,26 @@ def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 10
                          start: np.ndarray | None = None) -> float:
     """Largest eigenvalue of a symmetric PSD matrix by power iteration.
 
-    The iteration starts from `start`, a unit float64 vector, or from
-    `_cold_start(n)` when it is None; the last iterate is written back into
-    `start`, so a caller can pass it to the next call on a nearby matrix.
+    The iteration starts from `start` or, when it is None, from
+    `_cold_start(n)`. `start` must be a 1-D float64 array of length n with
+    a finite, positive squared norm, else a ValueError names it; it need
+    not be a unit vector, since the first step normalises. On every exit
+    (converged, zero matrix, accepted at the cap, or raising at the cap)
+    the last iterate is written back into `start`, so a caller can pass it
+    to the next call on a nearby matrix.
 
     Each step does one product: `mat @ vec` gives both the Rayleigh
     quotient of the current vector and the next vector, so the loop carries
-    it over instead of recomputing it. Near-degenerate leading eigenvalues
-    slow the tail of the iteration; an estimate whose relative change at
-    the cap is below 1e-5 is accepted (its residual error is absorbed by
-    the step-size safety factor), anything worse raises.
+    it over instead of recomputing it. On the solver's c x c matrices a
+    step's cost is mostly numpy call overhead, so the loop binds `mat.dot`
+    once and uses `/` and `.dot`: they reach the same BLAS dgemv/ddot and
+    the same division as `np.matmul(..., out=)` and `np.divide(..., out=)`,
+    and give the same bits, with fewer argument checks.
+
+    Near-degenerate leading eigenvalues slow the tail of the iteration; an
+    estimate whose relative change at the cap is below 1e-5 is accepted
+    (its residual error is absorbed by the step-size safety factor),
+    anything worse raises.
     """
     n = mat.shape[0]
     if mat.shape != (n, n):
@@ -126,22 +136,41 @@ def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 10
         shown = ", ".join(f"({i}, {j})" for i, j in bad[:5]) + (", ..." if len(bad) > 5 else "")
         raise ValueError(f"power iteration needs a finite matrix, got {len(bad)} "
                          f"non-finite entries at {shown}")
-    vec = _cold_start(n) if start is None else start
-    nxt = mat @ vec
+    if start is None:
+        start = _cold_start(n)
+    elif not (isinstance(start, np.ndarray) and start.dtype == np.float64
+              and start.shape == (n,)):
+        got = f"{start.dtype} array of shape {start.shape}" if isinstance(start, np.ndarray) \
+            else type(start).__name__
+        raise ValueError(f"power iteration start must be a 1-D float64 array of length {n}, "
+                         f"got {got}")
+    else:
+        sq_norm = float(start.dot(start))
+        if not (math.isfinite(sq_norm) and sq_norm > 0.0):
+            raise ValueError(f"power iteration start must have a finite, positive norm, "
+                             f"got squared norm {sq_norm!r}")
+    step = mat.dot
+    it = start
+    nxt = step(it)
     lam = 0.0
     change = np.inf
     for _ in range(max_iter):
         # what np.linalg.norm computes for a real vector, minus its dispatch
         norm = math.sqrt(nxt.dot(nxt))
         if norm == 0.0:
+            start[:] = it
             return 0.0
-        np.divide(nxt, norm, out=vec)
-        np.matmul(mat, vec, out=nxt)
-        lam_new = float(vec.dot(nxt))
-        change = abs(lam_new - lam) / max(1.0, abs(lam_new))
+        it = nxt / norm
+        nxt = step(it)
+        lam_new = float(it.dot(nxt))
+        # the relative change against max(1.0, |lam_new|), minus the call
+        scale = abs(lam_new)
+        change = abs(lam_new - lam) / (scale if scale > 1.0 else 1.0)
         if change <= tol:
+            start[:] = it
             return lam_new
         lam = lam_new
+    start[:] = it
     if change <= 1e-5:
         return lam
     raise PowerIterationError(
@@ -152,7 +181,7 @@ def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 10
 def lipschitz(d: np.ndarray, start: np.ndarray | None = None) -> float:
     """Step-size constant ||D D^T||_2, padded by a small safety factor;
     `start` as in `power_iteration_norm`."""
-    if not np.any(d):
+    if not d.any():
         warnings.warn("zero dictionary: using neutral step-size constant 1", stacklevel=2)
         return 1.0
     return LIPSCHITZ_SAFETY * power_iteration_norm(d @ d.T, start=start)
@@ -174,8 +203,8 @@ def _group_soft(a: np.ndarray, t: float, axis: str) -> np.ndarray:
     ax = 0 if axis == "columns" else 1
     # np.add.reduce, here and below, is what np.sum runs, minus its wrapper
     norms = np.sqrt(np.add.reduce(a * a, axis=ax, keepdims=True))
-    safe = np.where(norms > t, norms, 1.0)
-    return np.where(norms > t, (norms - t) / safe, 0.0) * a
+    keep = norms > t
+    return np.where(keep, (norms - t) / np.where(keep, norms, 1.0), 0.0) * a
 
 
 def _group_norm_sum(a: np.ndarray, axis: str) -> float:

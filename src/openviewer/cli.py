@@ -85,7 +85,10 @@ def _section(config: dict, name: str) -> dict:
 
 
 def _write_matrix_csv(path, mat) -> None:
-    lines = [",".join(float_repr(x) for x in row) for row in np.atleast_2d(mat)]
+    """A float64 row's `tolist()` holds Python floats, whose `repr` is exactly `float_repr`."""
+    # row by row: one tolist() of the whole matrix raised the oracle's peak RSS by ~0.3 MB
+    rows = np.atleast_2d(np.asarray(mat, dtype=np.float64))
+    lines = [",".join(map(repr, row.tolist())) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -175,18 +175,31 @@ class TestLipschitz:
 
 class TestPowerIteration:
     """The one-product loop against the two-product loop it replaced:
-    the same bits, the same errors."""
+    the same bits, the same errors, cold and from a random unit start,
+    and from the start the same bits written back into it."""
+
+    def setup_method(self):
+        self.starts = np.random.default_rng(50)
 
     def assert_same(self, mat, **kwargs):
-        assert outcome(ao.power_iteration_norm, mat, **kwargs) == \
-            outcome(ref.power_iteration_norm, mat, **kwargs)
+        """Checks both loops cold and warm; returns the cold and warm
+        outcomes and whether the start was overwritten."""
+        cold = outcome(ao.power_iteration_norm, mat, **kwargs)
+        assert cold == outcome(ref.power_iteration_norm, mat, **kwargs)
+        start = self.starts.normal(size=mat.shape[0])
+        start /= np.linalg.norm(start)
+        ours, theirs = start.copy(), start.copy()
+        warm = outcome(ao.power_iteration_norm, mat, start=ours, **kwargs)
+        assert (warm, ours.tobytes()) == \
+            (outcome(ref.power_iteration_norm, mat, start=theirs, **kwargs), theirs.tobytes())
+        return cold, warm, not np.array_equal(ours, start)
 
     def test_random_gram_matrices_bitwise(self):
         rng = np.random.default_rng(41)
         for _ in range(300):
             n = int(rng.integers(1, 13))
             a = rng.normal(size=(n, int(rng.integers(1, 2 * n + 1))))
-            self.assert_same(a @ a.T)
+            assert self.assert_same(a @ a.T)[2] or n == 1
 
     def test_near_degenerate_bitwise(self):
         rng = np.random.default_rng(42)
@@ -201,20 +214,22 @@ class TestPowerIteration:
         for n in (1, 3, 7):
             u = rng.normal(size=(n, 1))
             self.assert_same(u @ u.T)
-            self.assert_same(np.zeros((n, n)))
+            assert self.assert_same(np.zeros((n, n))) == (float.hex(0.0), float.hex(0.0), False)
         assert ao.power_iteration_norm(np.zeros((4, 4))) == 0.0
         self.assert_same(np.array([[2.5]]))
 
     def test_iteration_cap_bitwise(self):
         # with tol out of reach the cap decides: an early cap raises, a
-        # later one accepts the last estimate (change <= 1e-5)
+        # later one accepts the last estimate (change <= 1e-5); both write
+        # the last iterate back
         mat = gram_with_spectrum(np.random.default_rng(44), [1.0, 0.99, 0.5, 0.2, 0.1])
-        kinds = set()
+        cold_kinds, warm_kinds = set(), set()
         for max_iter in range(1, 400, 13):
-            got = outcome(ao.power_iteration_norm, mat, tol=1e-15, max_iter=max_iter)
-            assert got == outcome(ref.power_iteration_norm, mat, tol=1e-15, max_iter=max_iter)
-            kinds.add(type(got))
-        assert kinds == {str, tuple}
+            cold, warm, moved = self.assert_same(mat, tol=1e-15, max_iter=max_iter)
+            assert moved
+            cold_kinds.add(type(cold))
+            warm_kinds.add(type(warm))
+        assert cold_kinds == warm_kinds == {str, tuple}
         with pytest.raises(ao.PowerIterationError, match="did not converge in 3 iterations"):
             ao.power_iteration_norm(mat, max_iter=3)
 
@@ -228,6 +243,24 @@ class TestPowerIteration:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             ao.power_iteration_norm(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("start, message", [
+        (np.ones(3, dtype=np.int64), "float64 array of length 3, got int64 array of shape \\(3,\\)"),
+        (np.ones(3, dtype=np.float32), "float64 array of length 3, got float32"),
+        (np.ones((3, 1)), "float64 array of length 3, got float64 array of shape \\(3, 1\\)"),
+        (np.ones(4), "float64 array of length 3, got float64 array of shape \\(4,\\)"),
+        ([1.0, 0.0, 0.0], "float64 array of length 3, got list"),
+        (np.zeros(3), "finite, positive norm, got squared norm 0.0"),
+        (np.array([1.0, np.nan, 0.0]), "finite, positive norm, got squared norm nan"),
+        (np.array([1.0, -np.inf, 0.0]), "finite, positive norm, got squared norm inf"),
+        (np.full(3, 1e200), "finite, positive norm, got squared norm inf"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_bad_start_rejected_and_left_alone(self, start, message):
+        before = start.copy()
+        with pytest.raises(ValueError, match=f"power iteration start must .*{message}"):
+            ao.power_iteration_norm(np.eye(3), start=start)
+        assert np.array_equal(np.asarray(start), np.asarray(before), equal_nan=True)
 
 
 class TestWarmStart:

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from openviewer import CHECKPOINT_SCHEMA_VERSION
-from openviewer.cli import EXIT_RUNTIME, main, run_gradcheck, version_info
+from openviewer._io import float_repr
+from openviewer.admm_oracle import AdmmConfig, solve
+from openviewer.cli import EXIT_RUNTIME, _write_matrix_csv, main, run_gradcheck, version_info
+from openviewer.dataset import load
 
 import fine_reference as ref
 
@@ -240,6 +243,22 @@ class TestPipeline:
         assert values[-1] <= values[0]
         assert (out / "z_0.csv").exists() and (out / "d_1.csv").exists()
 
+    def test_oracle_csvs_round_trip_the_solve(self, workspace):
+        tmp_path, cfg, data_dir = workspace
+        out = tmp_path / "oracle"
+        assert main([
+            "oracle", "--manifest", str(data_dir / "manifest.json"),
+            "--config", str(cfg), "--out", str(out), "--quiet",
+        ]) == 0
+        dataset = load(data_dir / "manifest.json")
+        state = solve(dataset.views, AdmmConfig(max_iter=30), code_dim=dataset.class_count)
+        for v in range(state.n_views):
+            for kind, mat in (("z", state.z[v]), ("d", state.d[v]), ("e", state.e[v])):
+                read = np.loadtxt(out / f"{kind}_{v}.csv", delimiter=",", ndmin=2)
+                assert np.array_equal(read, mat), (kind, v)
+        trace = np.loadtxt(out / "objective_trace.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(trace[:, 1], state.objective_trace)
+
     def test_checkpoint_schema_round(self, workspace):
         tmp_path, cfg, data_dir = workspace
         run = tmp_path / "run"
@@ -255,6 +274,29 @@ class TestPipeline:
 def rows_of_class(data_dir, cls):
     labels = np.loadtxt(data_dir / "labels.csv", dtype=np.int64)
     return np.flatnonzero(labels == cls).tolist()
+
+
+class TestMatrixCsv:
+    """`_write_matrix_csv` writes what the `float_repr` join of each row gives."""
+
+    @staticmethod
+    def float_repr_join(mat):
+        lines = [",".join(float_repr(x) for x in row) for row in np.atleast_2d(mat)]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("mat", [
+        np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 5e-324], [1e16, 1.0 / 3.0, -2.5]]),
+        np.array([[0.1, -1.0 / 3.0], [np.nan, 3.4028235e38]], dtype=np.float32),
+        np.array([[1, -2, 2**53 + 1], [0, 7, -(2**62)]], dtype=np.int64),
+        np.array([[True, False], [False, True]]),
+        np.array([1.5, -0.0, 1e-300, 123456789.125]),
+        np.array([[-7.25]]),
+        np.random.default_rng(60).normal(size=(9, 13)) * 10.0 ** np.arange(-6, 7),
+    ], ids=["float64-specials", "float32", "int64", "bool", "1-D", "1x1", "random"])
+    def test_bytes_equal_float_repr_join(self, tmp_path, mat):
+        path = tmp_path / "m.csv"
+        _write_matrix_csv(path, mat)
+        assert path.read_bytes() == self.float_repr_join(mat).encode()
 
 
 class TestBadSplitFile:
