@@ -44,14 +44,18 @@ def version_info() -> str:
     return f"openviewer {__version__} (checkpoint-schema {CHECKPOINT_SCHEMA_VERSION})"
 
 
+def _reject_unknown(data: dict, known, where: str) -> None:
+    unknown = set(data).difference(known)
+    if unknown:
+        raise ConfigError(f"unknown config keys in '{where}': {sorted(unknown)}")
+
+
 def _dataclass_from_dict(cls, data: dict, where: str):
     """Build a dataclass from a dict, rejecting unknown keys. Fields typed
     as a dataclass are built recursively; JSON lists become tuples for
     tuple-typed fields."""
     hints = typing.get_type_hints(cls)
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown config keys in '{where}': {sorted(unknown)}")
+    _reject_unknown(data, (f.name for f in dataclasses.fields(cls)), where)
     kwargs = {}
     for name, value in data.items():
         hint = hints[name]
@@ -134,6 +138,7 @@ def _cmd_split(args, config):
     from .dataset import load, openness_split
 
     section = _section(config, "split")
+    _reject_unknown(section, ("openness", "ratios", "seed"), "split")
     openness = args.openness if args.openness is not None else section.get("openness", 0.1)
     ratios = tuple(section.get("ratios", (0.1, 0.1, 0.8)))
     if args.ratios:
@@ -203,7 +208,7 @@ def _cmd_eval(args, config):
     dataset = load(args.manifest)
     split = _load_split(args.split)
     preds, fused = score_with_codes(
-        params, dataset, split, config=eval_cfg, normalize=train_cfg.get("normalize", True)
+        params, dataset, split, normalize=train_cfg.get("normalize", True)
     )
     curve = oscr_curve(preds)
     out = Path(args.out)
@@ -220,7 +225,6 @@ def _cmd_eval(args, config):
     atomic_write_text(out / "summary.json", canonical_json(summary))
 
     _write_matrix_csv(out / "fused.csv", fused)
-    _write_matrix_csv(out / "similarity.csv", fused @ fused.T)
     logger.info("eval summary: %s", summary)
     return EXIT_OK
 
@@ -263,8 +267,7 @@ def build_gradcheck_scenario(seed: int):
     views = [rng.normal(size=(10, d)) for d in dims]
     batch = Batch(views=views, labels=labels, is_pseudo=np.zeros(10, dtype=bool))
     combined = generate_pseudo(
-        batch, MixConfig(omega=2.0, pseudo_ratio=0.5, unknown_label=c),
-        np.random.default_rng([seed, 901]),
+        batch, MixConfig(omega=2.0, pseudo_ratio=0.5), np.random.default_rng([seed, 901]), c
     )
     params = init_params(
         dims, c, AdmmConfig(alpha=0.05, beta=0.1, gamma=0.5),
@@ -435,6 +438,7 @@ def main(argv=None) -> int:
     )
     try:
         config = _load_config_file(getattr(args, "config", None))
+        _reject_unknown(config, ("synth", "split", "train", "eval", "oracle"), "config")
         return _COMMANDS[args.command](args, config)
     except ConfigError as exc:
         logger.error("%s", exc)

@@ -33,12 +33,7 @@ class MetricError(ValueError):
 
 @dataclass
 class EvalConfig:
-    score: str = "softmax"  # or "norm": squashed fused-code row norm
     fpr_targets: tuple[float, ...] = (0.005, 0.01, 0.05, 0.1, 0.5)
-
-    def validate(self) -> None:
-        if self.score not in ("softmax", "norm"):
-            raise MetricError(f"score must be 'softmax' or 'norm', got {self.score!r}")
 
 
 class ScoredPrediction(NamedTuple):
@@ -70,28 +65,24 @@ def score_test_set(
     centers: CenterState,
     dataset: MultiViewDataset,
     split: OpennessSplit,
-    config: EvalConfig | None = None,
     normalize: bool = True,
     indices=None,
 ) -> list[ScoredPrediction]:
     """One score per test row, as `score_with_codes`; `centers` is unused."""
-    return score_with_codes(params, dataset, split, config, normalize, indices)[0]
+    return score_with_codes(params, dataset, split, normalize, indices)[0]
 
 
 def score_with_codes(
     params: UnfoldParams,
     dataset: MultiViewDataset,
     split: OpennessSplit,
-    config: EvalConfig | None = None,
     normalize: bool = True,
     indices=None,
 ) -> tuple[list[ScoredPrediction], np.ndarray]:
     """Inference-mode forward over the test rows (or `indices`): one score
     per sample, plus the fused codes. Predicted classes are dataset class
-    ids; the confidence is the max softmax probability (or a squashed
-    code norm). Raises `tc.NumericError` if any fused code is not finite."""
-    cfg = config or EvalConfig()
-    cfg.validate()
+    ids; the confidence is the max softmax probability. Raises
+    `tc.NumericError` if any fused code is not finite."""
     if dataset.view_dims != params.view_dims:
         raise MetricError(
             f"checkpoint dims {params.view_dims} do not match dataset {dataset.view_dims}"
@@ -119,9 +110,6 @@ def score_with_codes(
     if bad:
         raise tc.NumericError(f"fused codes are not finite in {bad} of {rows.size} rows")
     classes, confidence = predict(fused)
-    if cfg.score == "norm":
-        norms = np.linalg.norm(fused, axis=1)
-        confidence = norms / (1.0 + norms)
     # one Python list per field, then every row in one C-level pass
     labels = batch.labels.tolist()
     cols = (

@@ -40,11 +40,10 @@ class NumericError(ArithmeticError):
     """A computation produced or encountered non-finite values."""
 
 
-def matrix(values, rows: int | None = None, cols: int | None = None) -> Matrix:
+def matrix(values) -> Matrix:
     """Validate and return a row-major float64 2-D array.
 
-    Scalars and 1-D sequences are promoted to 1x1 / 1xN. If `rows`/`cols`
-    are given the shape must match exactly.
+    Scalars and 1-D sequences are promoted to 1x1 / 1xN.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 0:
@@ -53,8 +52,6 @@ def matrix(values, rows: int | None = None, cols: int | None = None) -> Matrix:
         arr = arr.reshape(1, -1)
     elif arr.ndim != 2:
         raise ShapeError(f"expected at most 2 dimensions, got shape {arr.shape}")
-    if rows is not None and cols is not None and arr.shape != (rows, cols):
-        raise ShapeError(f"expected shape ({rows}, {cols}), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise NumericError("matrix contains non-finite entries")
     return np.ascontiguousarray(arr)

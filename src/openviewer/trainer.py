@@ -65,7 +65,6 @@ class TrainConfig:
     ablation: str = "full"
     normalize: bool = True
     warm_start: bool = False
-    precondition: bool = True
     threshold_step_scale: float | None = None
 
     def validate(self) -> None:
@@ -212,18 +211,8 @@ def train(
         ablation=config.ablation,
         expected_rows=expected_rows,
     )
-    mix = MixConfig(
-        omega=config.mix.omega,
-        pseudo_ratio=config.mix.pseudo_ratio,
-        unknown_label=num_classes,
-        per_view_zeta=config.mix.per_view_zeta,
-    )
     beta_rng = np.random.default_rng([config.seed, _BETA_STREAM])
-    scales = (
-        step_preconditioner(params, config.threshold_step_scale)
-        if config.precondition
-        else None
-    )
+    scales = step_preconditioner(params, config.threshold_step_scale)
 
     centers: np.ndarray | None = None
     ema: np.ndarray | None = None
@@ -239,7 +228,7 @@ def train(
         for b_idx, batch in enumerate(batches):
             batch.labels = lut[batch.labels]
             try:
-                combined = generate_pseudo(batch, mix, beta_rng)
+                combined = generate_pseudo(batch, config.mix, beta_rng, num_classes)
             except GenerationError as exc:
                 logger.warning("epoch %d batch %d: %s; skipping pseudo rows", epoch, b_idx, exc)
                 combined = batch
@@ -275,10 +264,7 @@ def train(
                 )
             margin = min(margin, bound - measured)
 
-            grads = {
-                name: n.grad * scales[name] if scales else n.grad
-                for name, n in res.param_nodes.items()
-            }
+            grads = {name: n.grad * scales[name] for name, n in res.param_nodes.items()}
             sgd_step(params, grads, config.learning_rate)
             centers = update_centers(
                 centers,

@@ -37,7 +37,7 @@ import openviewer.tensor_core as tc
 from openviewer.admm_oracle import PowerIterationError
 from openviewer.cli import build_gradcheck_scenario
 from openviewer.dataset import Batch, zscore_normalize
-from openviewer.evaluation import EvalConfig, MetricError, OscrCurve
+from openviewer.evaluation import MetricError, OscrCurve
 from openviewer.losses import LossConfig, LossError, _one_hot, total_loss
 from openviewer.unfold_net import (
     MIN_CENTROID_DISTANCE,
@@ -234,9 +234,8 @@ class ScoredPrediction:
     is_unknown_truth: bool
 
 
-def score_with_codes(params, dataset, split, config=None, normalize=True, indices=None):
+def score_with_codes(params, dataset, split, normalize=True, indices=None):
     """One row object per test sample, each field cast from a numpy scalar."""
-    cfg = config or EvalConfig()
     known = sorted(split.known_classes)
     work = dataset
     if normalize:
@@ -250,9 +249,6 @@ def score_with_codes(params, dataset, split, config=None, normalize=True, indice
     with np.errstate(over="ignore", invalid="ignore"):
         fused = package_forward(batch, params, inference=True).z_fused
     classes, confidence = predict(fused)
-    if cfg.score == "norm":
-        norms = np.linalg.norm(fused, axis=1)
-        confidence = norms / (1.0 + norms)
     unknown = set(split.unknown_classes)
     preds = [
         ScoredPrediction(

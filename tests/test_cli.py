@@ -77,6 +77,48 @@ class TestVersionAndUsage:
         cfg.write_text(json.dumps({"synth": {"classses": 3}}))
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    # each key is refused before any input file is read, so the paths need not exist
+    @pytest.mark.parametrize("command, config, message", [
+        ("train", {"train": {"precondition": False}}, r"'train': \['precondition'\]"),
+        ("train", {"train": {"mix": {"per_view_zeta": True}}},
+         r"'train\.mix': \['per_view_zeta'\]"),
+        ("train", {"train": {"mix": {"unknown_label": 3}}}, r"'train\.mix': \['unknown_label'\]"),
+        ("eval", {"eval": {"score": "norm"}}, r"'eval': \['score'\]"),
+        ("train", {"trian": {"epochs": 1}}, r"'config': \['trian'\]"),
+        ("split", {"split": {"opennes": 0.5}}, r"'split': \['opennes'\]"),
+    ], ids=["precondition", "per_view_zeta", "unknown_label", "score", "section", "split_key"])
+    def test_removed_or_misspelt_key_is_usage_error(self, tmp_path, caplog, command, config,
+                                                   message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        inputs = {"train": ["--manifest", "m.json", "--split", "s.json"],
+                  "eval": ["--checkpoint", "c.json", "--manifest", "m.json", "--split", "s.json"],
+                  "split": ["--manifest", "m.json"]}[command]
+        out = tmp_path / "out"
+        assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 1
+        assert re.search(f"unknown config keys in {message}", caplog.text)
+        assert not out.exists()
+
+    # the section check runs before any command does, so the paths need not exist
+    @pytest.mark.parametrize("command, inputs", [
+        ("synth", ["--out", "o"]),
+        ("split", ["--manifest", "m.json", "--out", "o"]),
+        ("train", ["--manifest", "m.json", "--split", "s.json", "--out", "o"]),
+        ("eval", ["--checkpoint", "c.json", "--manifest", "m.json", "--split", "s.json",
+                  "--out", "o"]),
+        ("oracle", ["--manifest", "m.json", "--out", "o"]),
+        ("gradcheck", []),
+        ("diag", ["--out", "o"]),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_unknown_section_is_refused_by_every_command(self, tmp_path, monkeypatch, caplog,
+                                                         command, inputs):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"synth": {}, "orcale": {"max_iter": 5}}))
+        assert main([command, *inputs, "--config", str(cfg)]) == 1
+        assert "unknown config keys in 'config': ['orcale']" in caplog.text
+        assert not (tmp_path / "o").exists()
+
 
 class TestConfigLoading:
     def test_sections_follow_type_hints(self):
@@ -171,9 +213,10 @@ class TestPipeline:
         assert "ccr_at_fpr_0.1" in summary
         curve = (ev_dir / "oscr_curve.csv").read_text().strip().split("\n")
         assert curve[0] == "threshold,ccr,fpr"
-        fused = np.loadtxt(ev_dir / "fused.csv", delimiter=",")
-        sim = np.loadtxt(ev_dir / "similarity.csv", delimiter=",")
-        assert sim.shape == (fused.shape[0], fused.shape[0])
+        fused = np.loadtxt(ev_dir / "fused.csv", delimiter=",", ndmin=2)
+        assert fused.shape[0] == summary["n_test"]
+        assert sorted(p.name for p in ev_dir.iterdir()) == [
+            "fused.csv", "oscr_curve.csv", "summary.json"]
 
     def test_eval_outputs_match_per_row_reference(self, workspace):
         from openviewer._io import canonical_json, float_repr
@@ -194,7 +237,7 @@ class TestPipeline:
         split = OpennessSplit.from_json((tmp_path / "split.json").read_text())
         eval_cfg = EvalConfig(fpr_targets=(0.05, 0.1, 0.5))
         preds, _ = ref.score_with_codes(params, load(data_dir / "manifest.json"), split,
-                                        eval_cfg, normalize=train_cfg["normalize"])
+                                        normalize=train_cfg["normalize"])
         curve = ref.oscr_curve(preds)
         lines = ["threshold,ccr,fpr"]
         lines += [f"{float_repr(t)},{float_repr(c)},{float_repr(f)}" for t, c, f in curve.points]

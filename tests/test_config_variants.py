@@ -27,13 +27,6 @@ def test_row_grouping_trains_and_differs():
     )
 
 
-def test_per_view_zeta_trains():
-    dataset, split = tiny_run_inputs()
-    cfg = quick_config(mix=MixConfig(per_view_zeta=True))
-    params, _, log = trainer.train(dataset, split, cfg)
-    assert np.isfinite(log.epochs[-1].total)
-
-
 def test_pseudo_ratio_below_one():
     dataset, split = tiny_run_inputs()
     cfg = quick_config(mix=MixConfig(pseudo_ratio=0.25))
@@ -63,7 +56,7 @@ def test_truncated_forward_layers():
     assert np.array_equal(res1.trace[0].z[0], res3.trace[0].z[0])
 
 
-def test_cli_norm_scoring_and_warm_start(tmp_path):
+def test_cli_warm_start(tmp_path):
     config = {
         "synth": {
             "classes": 5, "samples_per_class": 12, "views": 2, "dims": [12, 10],
@@ -78,7 +71,7 @@ def test_cli_norm_scoring_and_warm_start(tmp_path):
             "loss": {"xi": 0.3, "lambda1": 0.1, "lambda2": 0.1},
             "admm": {"alpha": 0.01, "beta": 0.1, "gamma": 2.0, "max_iter": 40},
         },
-        "eval": {"score": "norm", "fpr_targets": [0.1, 0.5]},
+        "eval": {"fpr_targets": [0.1, 0.5]},
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
@@ -126,10 +119,3 @@ def test_split_ratio_flag(tmp_path):
     ]) == 0
     split = json.loads(split_path.read_text())
     assert len(split["train_idx"]) == 20  # 0.5 of 40
-
-
-def test_unpreconditioned_literal_descent():
-    dataset, split = tiny_run_inputs()
-    cfg = quick_config(precondition=False, learning_rate=1e-5, epochs=2)
-    params, _, log = trainer.train(dataset, split, cfg)
-    assert np.isfinite(log.epochs[-1].total)

@@ -4,7 +4,6 @@ import pytest
 import openviewer.tensor_core as tc
 from openviewer import synthgen
 from openviewer.evaluation import (
-    EvalConfig,
     MetricError,
     OscrCurve,
     ScoredPrediction,
@@ -233,14 +232,6 @@ class TestScoreTestSet:
         with pytest.raises(tc.NumericError):
             score_test_set(params, centers, dataset, split, normalize=False)
 
-    def test_norm_scoring_mode(self):
-        dataset, split, params, centers = self._setup()
-        preds = score_test_set(
-            params, centers, dataset, split,
-            config=EvalConfig(score="norm"), normalize=False,
-        )
-        assert all(0.0 <= p.confidence < 1.0 for p in preds)
-
     @pytest.mark.parametrize("indices, message", [
         ([3, -1, -5], r"indices: 2 of 3 entries outside \[0, 40\), first \[-1, -5\]"),
         ([0, 40, 39], r"indices: 1 of 3 entries outside \[0, 40\), first \[40\]"),
@@ -308,13 +299,11 @@ def trained():
 
 
 class TestColumnarMatchesReference:
-    @pytest.mark.parametrize("score", ["softmax", "norm"])
     @pytest.mark.parametrize("normalize", [True, False])
-    def test_trained_model(self, trained, score, normalize):
+    def test_trained_model(self, trained, normalize):
         dataset, split, params = trained
-        config = EvalConfig(score=score)
-        preds, fused = score_with_codes(params, dataset, split, config, normalize)
-        ref_preds, ref_fused = ref.score_with_codes(params, dataset, split, config, normalize)
+        preds, fused = score_with_codes(params, dataset, split, normalize)
+        ref_preds, ref_fused = ref.score_with_codes(params, dataset, split, normalize)
         assert np.array_equal(fused, ref_fused)
         assert_rows_match(preds, ref_preds)
         assert {p.is_unknown_truth for p in preds} == {True, False}

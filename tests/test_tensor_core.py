@@ -28,10 +28,6 @@ class TestMatrixInvariants:
         with pytest.raises(tc.NumericError):
             tc.matrix([[np.inf]])
 
-    def test_matrix_shape_check(self):
-        with pytest.raises(tc.ShapeError):
-            tc.matrix([[1, 2]], rows=2, cols=1)
-
     def test_values_frozen(self):
         node = tc.leaf([[1.0, 2.0]])
         with pytest.raises(ValueError):

@@ -680,8 +680,8 @@ class TestModuleOps:
     def test_training_graph_matches_fine_graph(self, layers, ablation, axis):
         dataset, _ = synthgen.generate(small_spec(jitter=0.3))
         batch = batch_from_dataset(dataset, range(0, 40, 3))
-        batch = generate_pseudo(batch, MixConfig(omega=2.0, pseudo_ratio=0.5, unknown_label=5),
-                                np.random.default_rng(34))
+        batch = generate_pseudo(batch, MixConfig(omega=2.0, pseudo_ratio=0.5),
+                                np.random.default_rng(34), 5)
         params = init_params(dataset.view_dims, dataset.class_count,
                              ao.AdmmConfig(alpha=0.05, gamma=1.0), seed=35, num_layers=layers,
                              group_axis=axis, ablation=ablation, expected_rows=20)
