@@ -8,4 +8,4 @@ training losses, and OSCR-style open-set evaluation.
 
 __version__ = "0.1.0"
 
-CHECKPOINT_SCHEMA_VERSION = "3"
+CHECKPOINT_SCHEMA_VERSION = "4"

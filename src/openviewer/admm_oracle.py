@@ -19,9 +19,9 @@ call ended on (`AdmmState.lead`), since D D^T turns little between
 iterations.
 
 The D step factors with numpy's own Cholesky, so numpy is the one
-library the solver needs: an `oracle` process or a warm-started training
-run loads no second linear-algebra package, which would cost about 20 MB
-of RSS and 0.15 s of start-up per process.
+library the solver needs: an `oracle` process loads no second
+linear-algebra package, which would cost about 20 MB of RSS and 0.15 s of
+start-up per process.
 """
 
 from __future__ import annotations
@@ -59,15 +59,15 @@ class AdmmConfig:
     tol: float = 1e-8
     seed: int = 0
     exact_e_prox: bool = False
-    group_axis: str = "columns"
+    group_axis: str = "columns"  # noise groups are feature columns; kept as configs still set it
 
     def validate(self) -> None:
         if self.alpha <= 0 or self.beta <= 0 or self.gamma <= 0:
             raise ValueError("alpha, beta, gamma must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.group_axis not in ("columns", "rows"):
-            raise ValueError(f"group_axis must be 'columns' or 'rows', got {self.group_axis!r}")
+        if self.group_axis != "columns":
+            raise ValueError(f"group_axis must be 'columns', got {self.group_axis!r}")
 
 
 @dataclass
@@ -199,17 +199,15 @@ def _soft(a: np.ndarray, t: float) -> np.ndarray:
     return np.sign(a) * np.maximum(np.abs(a) - t, 0.0)
 
 
-def _group_soft(a: np.ndarray, t: float, axis: str) -> np.ndarray:
-    ax = 0 if axis == "columns" else 1
+def _group_soft(a: np.ndarray, t: float) -> np.ndarray:
     # np.add.reduce, here and below, is what np.sum runs, minus its wrapper
-    norms = np.sqrt(np.add.reduce(a * a, axis=ax, keepdims=True))
+    norms = np.sqrt(np.add.reduce(a * a, axis=0, keepdims=True))
     keep = norms > t
     return np.where(keep, (norms - t) / np.where(keep, norms, 1.0), 0.0) * a
 
 
-def _group_norm_sum(a: np.ndarray, axis: str) -> float:
-    ax = 0 if axis == "columns" else 1
-    return float(np.add.reduce(np.sqrt(np.add.reduce(a * a, axis=ax))))
+def _group_norm_sum(a: np.ndarray) -> float:
+    return float(np.add.reduce(np.sqrt(np.add.reduce(a * a, axis=0))))
 
 
 def objective(state: AdmmState, x_views: list[np.ndarray], config: AdmmConfig) -> float:
@@ -221,7 +219,7 @@ def objective(state: AdmmState, x_views: list[np.ndarray], config: AdmmConfig) -
         total += 0.5 * float(np.add.reduce(resid * resid, axis=None))
         total += config.alpha * float(np.add.reduce(np.abs(zv), axis=None))
         total += 0.5 * config.beta * float(np.add.reduce(dv * dv, axis=None))
-        total += config.gamma * _group_norm_sum(ev, config.group_axis)
+        total += config.gamma * _group_norm_sum(ev)
     return total
 
 
@@ -276,7 +274,7 @@ def e_step(state: AdmmState, x_views: list[np.ndarray], config: AdmmConfig) -> A
     for xv, zv, dv, lp in zip(x_views, state.z, state.d, state.l_p):
         thresh = config.gamma if config.exact_e_prox else config.gamma / lp
         fit = xv - zv @ dv
-        new_e.append(_group_soft(fit, thresh, config.group_axis))
+        new_e.append(_group_soft(fit, thresh))
         fits.append(fit)
     return AdmmState(state.z, state.d, new_e, state.l_p, state.objective_trace, state.lead, fits)
 

@@ -59,7 +59,9 @@ def _dataclass_from_dict(cls, data: dict, where: str):
     kwargs = {}
     for name, value in data.items():
         hint = hints[name]
-        if dataclasses.is_dataclass(hint) and isinstance(value, dict):
+        if dataclasses.is_dataclass(hint):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section '{where}.{name}' must be an object")
             value = _dataclass_from_dict(hint, value, f"{where}.{name}")
         elif typing.get_origin(hint) is tuple and isinstance(value, list):
             value = tuple(value)
@@ -81,11 +83,31 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _section(config: dict, name: str) -> dict:
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section '{name}' must be an object")
-    return section
+def _build_sections(config: dict) -> dict:
+    """Each section of `config` built as its command reads it, so every command refuses
+    a bad key in any section; a section's dataclass is imported only if it is present."""
+    _reject_unknown(config, ("synth", "split", "train", "eval", "oracle"), "config")
+    built = {}
+    for name, data in config.items():
+        if not isinstance(data, dict):
+            raise ConfigError(f"config section '{name}' must be an object")
+        if name == "split":  # read as a plain dict
+            _reject_unknown(data, ("openness", "ratios", "seed"), "split")
+            built[name] = data
+            continue
+        if name == "synth":
+            from .synthgen import SynthSpec as cls
+        elif name == "train":
+            from .trainer import TrainConfig as cls
+            # init_params reads only these; the solver's other settings do nothing in training
+            if isinstance(data.get("admm"), dict):
+                _reject_unknown(data["admm"], ("alpha", "beta", "gamma"), "train.admm")
+        elif name == "eval":
+            from .evaluation import EvalConfig as cls
+        else:
+            from .admm_oracle import AdmmConfig as cls
+        built[name] = _dataclass_from_dict(cls, data, name)
+    return built
 
 
 def _write_matrix_csv(path, mat) -> None:
@@ -100,11 +122,12 @@ def _write_matrix_csv(path, mat) -> None:
 # subcommands
 
 
-def _cmd_synth(args, config):
+def _cmd_synth(args, configs):
     from .synthgen import SynthSpec, generate
 
-    spec_data = _load_config_file(args.spec) if args.spec else _section(config, "synth")
-    spec = _dataclass_from_dict(SynthSpec, spec_data, "synth")
+    spec = configs.get("synth") or SynthSpec()
+    if args.spec:
+        spec = _dataclass_from_dict(SynthSpec, _load_config_file(args.spec), "synth")
     if args.seed is not None:
         spec.seed = args.seed
     dataset, planted = generate(spec)
@@ -134,11 +157,10 @@ def _cmd_synth(args, config):
     return EXIT_OK
 
 
-def _cmd_split(args, config):
+def _cmd_split(args, configs):
     from .dataset import load, openness_split
 
-    section = _section(config, "split")
-    _reject_unknown(section, ("openness", "ratios", "seed"), "split")
+    section = configs.get("split", {})
     openness = args.openness if args.openness is not None else section.get("openness", 0.1)
     ratios = tuple(section.get("ratios", (0.1, 0.1, 0.8)))
     if args.ratios:
@@ -160,15 +182,6 @@ def _cmd_split(args, config):
     return EXIT_OK
 
 
-def _train_config(config: dict, seed):
-    from .trainer import TrainConfig
-
-    cfg = _dataclass_from_dict(TrainConfig, _section(config, "train"), "train")
-    if seed is not None:
-        cfg.seed = seed
-    return cfg
-
-
 def _load_split(path):
     from .dataset import OpennessSplit, SplitError
 
@@ -178,11 +191,13 @@ def _load_split(path):
         raise SplitError(f"split file {path}: {exc}") from exc
 
 
-def _cmd_train(args, config):
+def _cmd_train(args, configs):
     from .dataset import load
-    from .trainer import save_checkpoint, train
+    from .trainer import TrainConfig, save_checkpoint, train
 
-    cfg = _train_config(config, args.seed)
+    cfg = configs.get("train") or TrainConfig()
+    if args.seed is not None:
+        cfg.seed = args.seed
     dataset = load(args.manifest)
     split = _load_split(args.split)
     params, centers, log = train(dataset, split, cfg)
@@ -198,12 +213,12 @@ def _cmd_train(args, config):
     return EXIT_OK
 
 
-def _cmd_eval(args, config):
+def _cmd_eval(args, configs):
     from .dataset import load
     from .evaluation import EvalConfig, oscr_curve, score_with_codes, summary as ccr_summary
     from .trainer import load_checkpoint
 
-    eval_cfg = _dataclass_from_dict(EvalConfig, _section(config, "eval"), "eval")
+    eval_cfg = configs.get("eval") or EvalConfig()
     params, _, train_cfg = load_checkpoint(args.checkpoint)
     dataset = load(args.manifest)
     split = _load_split(args.split)
@@ -229,11 +244,11 @@ def _cmd_eval(args, config):
     return EXIT_OK
 
 
-def _cmd_oracle(args, config):
+def _cmd_oracle(args, configs):
     from .admm_oracle import AdmmConfig, solve
     from .dataset import load
 
-    cfg = _dataclass_from_dict(AdmmConfig, _section(config, "oracle"), "oracle")
+    cfg = configs.get("oracle") or AdmmConfig()
     if args.seed is not None:
         cfg.seed = args.seed
     dataset = load(args.manifest)
@@ -307,7 +322,7 @@ def run_gradcheck(seed: int = 7, eps: float = 1e-5):
     return max(per_param.values()), per_param, grad_norms
 
 
-def _cmd_gradcheck(args, config):
+def _cmd_gradcheck(args, configs):
     seed = args.seed if args.seed is not None else 7
     start = time.perf_counter()
     worst, per_param, _ = run_gradcheck(seed)
@@ -319,7 +334,7 @@ def _cmd_gradcheck(args, config):
     return EXIT_OK if worst < 1e-4 else EXIT_RUNTIME
 
 
-def _cmd_diag(args, config):
+def _cmd_diag(args, configs):
     from .evaluation import contraction_diagnostic, scaling_benchmark
     from .losses import LossConfig, batch_stats, gradient_bound, measured_gradient_norm, total_loss
     from .unfold_net import forward, init_params
@@ -437,9 +452,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = _load_config_file(getattr(args, "config", None))
-        _reject_unknown(config, ("synth", "split", "train", "eval", "oracle"), "config")
-        return _COMMANDS[args.command](args, config)
+        configs = _build_sections(_load_config_file(getattr(args, "config", None)))
+        return _COMMANDS[args.command](args, configs)
     except ConfigError as exc:
         logger.error("%s", exc)
         return EXIT_USAGE

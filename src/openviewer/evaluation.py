@@ -152,7 +152,7 @@ def ccr_at_fpr(curve: OscrCurve, target_fpr: float) -> float:
     return float(eligible.max()) if eligible.size else 0.0
 
 
-def summary(curve: OscrCurve, targets=(0.005, 0.01, 0.05, 0.1, 0.5)) -> dict[str, float]:
+def summary(curve: OscrCurve, targets=EvalConfig.fpr_targets) -> dict[str, float]:
     return {f"ccr_at_fpr_{t:g}": ccr_at_fpr(curve, t) for t in targets}
 
 

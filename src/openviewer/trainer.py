@@ -19,7 +19,7 @@ import numpy as np
 from . import CHECKPOINT_SCHEMA_VERSION
 from . import tensor_core as tc
 from ._io import atomic_write_text, canonical_json, float_repr
-from .admm_oracle import AdmmConfig, solve
+from .admm_oracle import AdmmConfig
 from .dataset import MultiViewDataset, OpennessSplit, SplitError, checked_indices, make_batches
 from .dataset import zscore_normalize
 from .losses import (
@@ -64,7 +64,7 @@ class TrainConfig:
     admm: AdmmConfig = field(default_factory=AdmmConfig)
     ablation: str = "full"
     normalize: bool = True
-    warm_start: bool = False
+    warm_start: bool = False  # only False: kept because existing configs still set it
     threshold_step_scale: float | None = None
 
     def validate(self) -> None:
@@ -76,6 +76,8 @@ class TrainConfig:
             raise TrainerError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.layers < 1:
             raise TrainerError(f"layers must be >= 1, got {self.layers}")
+        if self.warm_start:
+            raise TrainerError("warm_start must be false: training starts from the analytic init")
         self.mix.validate()
         self.loss.validate()
         self.admm.validate()
@@ -192,11 +194,6 @@ def train(
     if config.normalize:
         work, _ = zscore_normalize(dataset, rows)
 
-    warm = None
-    if config.warm_start:
-        train_views = [v[rows] for v in work.views]
-        warm = solve(train_views, config.admm, code_dim=num_classes)
-
     expected_rows = config.batch_size + math.ceil(
         config.mix.pseudo_ratio * config.batch_size
     )
@@ -206,8 +203,6 @@ def train(
         config.admm,
         seed=[config.seed, _INIT_STREAM],
         num_layers=config.layers,
-        warm_start=warm,
-        group_axis=config.admm.group_axis,
         ablation=config.ablation,
         expected_rows=expected_rows,
     )

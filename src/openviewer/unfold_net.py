@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_core as tc
-from .admm_oracle import AdmmConfig, AdmmState, power_iteration_norm
+from .admm_oracle import AdmmConfig, power_iteration_norm
 
 logger = logging.getLogger(__name__)
 
@@ -101,7 +101,6 @@ class UnfoldParams:
     num_layers: int
     arrays: dict[str, np.ndarray]
     fusion_weights_snapshot: np.ndarray | None = None
-    group_axis: str = "columns"
     ablation: str = "full"
 
     def __post_init__(self):
@@ -159,12 +158,10 @@ def init_params(
     admm_config: AdmmConfig | None = None,
     seed: int = 0,
     num_layers: int = 1,
-    warm_start: AdmmState | None = None,
-    group_axis: str = "columns",
     ablation: str = "full",
     expected_rows: int | None = None,
 ) -> UnfoldParams:
-    """Closed-form initialization from (possibly warm-started) dictionaries.
+    """Closed-form initialization from Gaussian row-normalized dictionaries.
 
     The dictionary refresh matrix M approximates (Z^T Z + beta I)^{-1} with
     Z unknown, so its ridge stand-in for Z^T Z matters: pass the expected
@@ -179,13 +176,10 @@ def init_params(
     rng = np.random.default_rng(seed)
 
     d_init = []
-    for v, dim in enumerate(view_dims):
-        if warm_start is not None:
-            d_init.append(warm_start.d[v].copy())
-        else:
-            dv = rng.normal(size=(c, dim))
-            dv /= np.linalg.norm(dv, axis=1, keepdims=True)
-            d_init.append(dv)
+    for dim in view_dims:
+        dv = rng.normal(size=(c, dim))
+        dv /= np.linalg.norm(dv, axis=1, keepdims=True)
+        d_init.append(dv)
 
     eye = np.eye(c)
     l_p = [power_iteration_norm(dv @ dv.T) for dv in d_init]
@@ -201,14 +195,8 @@ def init_params(
     for name in param_shapes(view_dims, c, num_layers, ablation):
         kind, *_, v = name.split("/")
         arrays[name] = make[kind](d_init[int(v)], l_p[int(v)])
-    return UnfoldParams(
-        view_dims=view_dims,
-        num_classes=c,
-        num_layers=num_layers,
-        arrays=arrays,
-        group_axis=group_axis,
-        ablation=ablation,
-    )
+    return UnfoldParams(view_dims=view_dims, num_classes=c, num_layers=num_layers,
+                        arrays=arrays, ablation=ablation)
 
 
 # ---------------------------------------------------------------------------
@@ -301,30 +289,27 @@ def _cd_kernel(z, x, e_prev, m):
     return out, vjp
 
 
-def dn_forward(x, z, d, rho, axis: str = "columns"):
+def dn_forward(x, z, d, rho):
     """Noise update: group shrinkage of the reconstruction residual.
-    Each column (or row) g of X - Z D is scaled by (||g|| - rho)/||g||
+    Each feature column g of X - Z D is scaled by (||g|| - rho)/||g||
     when ||g|| > rho and zeroed otherwise; the subgradient is zero inside
     and on the dead zone."""
-    return tc.custom_op(_dn_kernel, x, z, d, rho, axis)
+    return tc.custom_op(_dn_kernel, x, z, d, rho)
 
 
-def _dn_kernel(x, z, d, rho, axis):
+def _dn_kernel(x, z, d, rho):
     r = _threshold(rho, "dn_forward rho")
-    if axis not in ("columns", "rows"):
-        raise tc.DomainError(f"axis must be 'columns' or 'rows', got {axis!r}")
-    ax = 0 if axis == "columns" else 1
     zd = tc.dot(z, d, "dn_forward")
     tc.check_same_shape(x, zd, "dn_forward")
     a = x - zd
-    norms = np.sqrt((a * a).sum(axis=ax, keepdims=True))
+    norms = np.sqrt((a * a).sum(axis=0, keepdims=True))
     active = norms > r
     safe = np.where(active, norms, 1.0)
     factor = np.where(active, (norms - r) / safe, 0.0)
 
     def vjp(g):
         # per active group: da = f*g + (rho/n^3) <a, g> a ; drho = -<a, g>/n
-        inner = (a * g).sum(axis=ax, keepdims=True)
+        inner = (a * g).sum(axis=0, keepdims=True)
         g_a = factor * g
         g_a += (r / safe**3) * inner * a
         if not active.all():
@@ -477,7 +462,7 @@ def forward(
             if params.ablation != "no_cd_dn":
                 d[v] = cd_forward(z[v], x[v], e[v], p[key("m", l, v)])
             if params.ablation == "full":
-                e[v] = dn_forward(x[v], z[v], d[v], p[key("rho", l, v)], params.group_axis)
+                e[v] = dn_forward(x[v], z[v], d[v], p[key("rho", l, v)])
         trace.append(
             LayerState(
                 z=[tc.value_of(zv) for zv in z],
@@ -525,7 +510,6 @@ def params_to_dict(params: UnfoldParams) -> dict:
         "num_layers": params.num_layers,
         "arrays": {name: a.tolist() for name, a in params.arrays.items()},
         "fusion_weights_snapshot": None if snapshot is None else snapshot.tolist(),
-        "group_axis": params.group_axis,
         "ablation": params.ablation,
     }
 
@@ -537,6 +521,5 @@ def params_from_dict(data: dict) -> UnfoldParams:
         num_layers=int(data["num_layers"]),
         arrays=dict(data["arrays"]),
         fusion_weights_snapshot=data["fusion_weights_snapshot"],
-        group_axis=data["group_axis"],
         ablation=data["ablation"],
     )

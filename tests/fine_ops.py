@@ -176,9 +176,9 @@ def soft_threshold(a: DiffNode, theta: DiffNode) -> DiffNode:
     return out
 
 
-def group_soft_threshold(a: DiffNode, rho: DiffNode, axis: str = "columns") -> DiffNode:
-    """Group shrinkage: scale each column (or row) g by (||g|| - rho)/||g||
-    when ||g|| > rho, otherwise zero the whole group.
+def group_soft_threshold(a: DiffNode, rho: DiffNode) -> DiffNode:
+    """Group shrinkage: scale each column g by (||g|| - rho)/||g||
+    when ||g|| > rho, otherwise zero the whole column.
 
     Backward uses the shrinkage Jacobian on active groups and the zero
     subgradient inside (and on) the dead zone.
@@ -186,10 +186,7 @@ def group_soft_threshold(a: DiffNode, rho: DiffNode, axis: str = "columns") -> D
     r = check_scalar(rho.value, "group_soft_threshold rho")
     if r < 0.0:
         raise DomainError(f"group_soft_threshold threshold must be >= 0, got {r}")
-    if axis not in ("columns", "rows"):
-        raise DomainError(f"axis must be 'columns' or 'rows', got {axis!r}")
-    ax = 0 if axis == "columns" else 1
-    norms = np.sqrt(np.sum(a.value * a.value, axis=ax, keepdims=True))
+    norms = np.sqrt(np.sum(a.value * a.value, axis=0, keepdims=True))
     active = norms > r
     safe = np.where(active, norms, 1.0)
     factor = np.where(active, (norms - r) / safe, 0.0)
@@ -197,7 +194,7 @@ def group_soft_threshold(a: DiffNode, rho: DiffNode, axis: str = "columns") -> D
 
     def _bw(g):
         # per active group: da = f*g + (rho/n^3) <a, g> a ; drho = -<a, g>/n
-        inner = np.sum(a.value * g, axis=ax, keepdims=True)
+        inner = np.sum(a.value * g, axis=0, keepdims=True)
         a.grad += np.where(active, factor * g + (r / safe**3) * inner * a.value, 0.0)
         rho.grad += np.array([[-np.sum(np.where(active, inner / safe, 0.0))]])
 

@@ -102,8 +102,8 @@ def cd_forward(z, x, e_prev, m) -> tc.DiffNode:
     return fo.matmul(m, fo.matmul(fo.transpose(z), resid))
 
 
-def dn_forward(x, z, d, rho, axis: str = "columns") -> tc.DiffNode:
-    return fo.group_soft_threshold(fo.sub(x, fo.matmul(z, d)), rho, axis=axis)
+def dn_forward(x, z, d, rho) -> tc.DiffNode:
+    return fo.group_soft_threshold(fo.sub(x, fo.matmul(z, d)), rho)
 
 
 def fusion_weights(z_views, labels) -> tc.DiffNode:
@@ -165,7 +165,7 @@ def forward(batch, params: UnfoldParams, labels_for_fusion=None) -> ForwardResul
             if params.ablation != "no_cd_dn":
                 d[v] = cd_forward(z[v], x[v], e[v], nodes[key("m", l, v)])
             if params.ablation == "full":
-                e[v] = dn_forward(x[v], z[v], d[v], nodes[key("rho", l, v)], params.group_axis)
+                e[v] = dn_forward(x[v], z[v], d[v], nodes[key("rho", l, v)])
         trace.append(LayerState(z=[zv.value for zv in z], d=[dv.value for dv in d], e=[]))
 
     uniform = tc.leaf(np.full((1, v_count), 1.0 / v_count))

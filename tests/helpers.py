@@ -79,7 +79,6 @@ def analytic_params_from_oracle(
         num_classes=code_dim,
         num_layers=num_layers,
         arrays=arrays,
-        group_axis=config.group_axis,
         ablation="full",
     )
     return params, snapshots

@@ -16,12 +16,12 @@ from helpers import FIXTURES, small_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# trains a tiny instance cold and warm-started, scores it, solves it and
-# runs the oracle CLI on a synthesized manifest: none of it may load scipy
+# trains a tiny instance, scores it, solves it and runs the oracle CLI on
+# a synthesized manifest: none of it may load scipy
 NO_SCIPY_SCRIPT = '''
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from openviewer import cli, evaluation, synthgen, trainer
 from openviewer.admm_oracle import AdmmConfig, solve
 from openviewer.dataset import openness_split
@@ -38,7 +38,6 @@ config = trainer.TrainConfig(
     admm=AdmmConfig(alpha=0.01, beta=0.1, gamma=2.0), threshold_step_scale=0.01,
 )
 params, centers, _ = trainer.train(dataset, split, config)
-trainer.train(dataset, split, replace(config, warm_start=True))
 curve = evaluation.oscr_curve(evaluation.score_test_set(params, centers, dataset, split))
 evaluation.summary(curve)
 solve(dataset.views, AdmmConfig(max_iter=3), code_dim=4)
@@ -432,6 +431,26 @@ class TestSteps:
             assert max(np.max(np.abs(a - b)) for a, b in zip(twice.z, once.z)) < 1e-10
 
 
+class TestGroupProx:
+    """The E step's group shrinkage and penalty act on feature columns, as the
+    network's DN module does."""
+
+    @pytest.mark.parametrize("t", [0.0, 1.5, 3.0, 100.0])
+    def test_group_soft_matches_fine_reference(self, t):
+        from openviewer.tensor_core import DiffNode
+
+        import fine_ops
+
+        a = np.random.default_rng(4).normal(size=(6, 9))
+        expected = fine_ops.group_soft_threshold(DiffNode(a), DiffNode([[t]])).value
+        assert np.array_equal(ao._group_soft(a, t), expected)
+
+    def test_group_norm_sum_is_column_norms(self):
+        a = np.random.default_rng(5).normal(size=(6, 9))
+        assert ao._group_norm_sum(a) == pytest.approx(np.linalg.norm(a, axis=0).sum(),
+                                                      rel=1e-15)
+
+
 class TestSolve:
     def test_tol_inf_single_iteration(self):
         x_views = random_problem(seed=12)
@@ -457,6 +476,8 @@ class TestSolve:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             ao.solve(random_problem(), ao.AdmmConfig(alpha=0.0), code_dim=3)
+        with pytest.raises(ValueError, match="group_axis"):
+            ao.solve(random_problem(), ao.AdmmConfig(group_axis="rows"), code_dim=3)
 
     def test_no_code_path_loads_scipy(self, tmp_path):
         # a fresh interpreter: pytest's own process may hold scipy already

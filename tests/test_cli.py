@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from openviewer.cli import EXIT_RUNTIME, _write_matrix_csv, main, run_gradcheck,
 from openviewer.dataset import load
 
 import fine_reference as ref
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_experiment_config(path, epochs=3):
@@ -120,17 +126,66 @@ class TestVersionAndUsage:
         assert not (tmp_path / "o").exists()
 
 
+class TestRefusedConfig:
+    """A value the code no longer honours, or a key of a section the command
+    does not read, fails the command, and the log names the field."""
+
+    @pytest.mark.parametrize("command, config, code, field", [
+        ("train", {"train": {"warm_start": True}}, EXIT_RUNTIME, "warm_start"),
+        ("oracle", {"oracle": {"group_axis": "rows"}}, EXIT_RUNTIME, "group_axis"),
+        ("train", {"train": {"admm": {"max_iter": 40}}}, 1, "'train.admm': ['max_iter']"),
+        ("train", {"train": {"admm": {"tol": 1e-9}}}, 1, "'train.admm': ['tol']"),
+        ("train", {"train": {"admm": {"group_axis": "columns"}}}, 1,
+         "'train.admm': ['group_axis']"),
+        ("train", {"eval": {"score": "norm"}}, 1, "'eval': ['score']"),
+        ("train", {"oracle": {"max_iters": 3}}, 1, "'oracle': ['max_iters']"),
+        ("oracle", {"train": {"epochz": 1}}, 1, "'train': ['epochz']"),
+        ("train", {"train": {"admm": 5}}, 1, "'train.admm' must be an object"),
+        ("train", {"train": {"mix": [1]}}, 1, "'train.mix' must be an object"),
+    ], ids=["warm_start", "group_axis_rows", "train_admm_max_iter", "train_admm_tol",
+            "train_admm_group_axis", "stale_eval_key", "stale_oracle_key", "stale_train_key",
+            "admm_not_object", "mix_not_object"])
+    def test_refused(self, workspace, caplog, command, config, code, field):
+        tmp_path, _, data_dir = workspace
+        cfg = tmp_path / "refused.json"
+        cfg.write_text(json.dumps(config))
+        inputs = {"train": ["--split", str(tmp_path / "split.json")], "oracle": []}[command]
+        out = tmp_path / "out"
+        assert main([command, "--manifest", str(data_dir / "manifest.json"), *inputs,
+                     "--config", str(cfg), "--out", str(out), "--quiet"]) == code
+        assert field in caplog.text
+        assert not out.exists()
+
+    def test_oracle_only_config_imports_no_training_code(self, workspace):
+        # a fresh interpreter: pytest's own process has imported every module
+        tmp_path, _, data_dir = workspace
+        cfg = tmp_path / "oracle.json"
+        cfg.write_text(json.dumps({"oracle": {"max_iter": 3}}))
+        script = (
+            "import sys; from openviewer import cli\n"
+            f"assert cli.main(['oracle', '--config', {str(cfg)!r}, '--manifest', "
+            f"{str(data_dir / 'manifest.json')!r}, '--out', {str(tmp_path / 'o')!r}, "
+            "'--quiet']) == 0\n"
+            "loaded = {m for m in sys.modules if m.startswith('openviewer.')}\n"
+            "assert loaded <= {'openviewer._io', 'openviewer.admm_oracle', 'openviewer.cli', "
+            "'openviewer.dataset'}, sorted(loaded)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestConfigLoading:
     def test_sections_follow_type_hints(self):
         from openviewer.cli import _dataclass_from_dict
         from openviewer.evaluation import EvalConfig
         from openviewer.trainer import TrainConfig
 
-        cfg = _dataclass_from_dict(
-            TrainConfig, {"mix": {"omega": 3.0}, "admm": {"group_axis": "rows"}}, "train"
-        )
+        cfg = _dataclass_from_dict(TrainConfig, {"mix": {"omega": 3.0}, "admm": {"gamma": 3.0}},
+                                   "train")
         assert cfg.mix.omega == 3.0
-        assert cfg.admm.group_axis == "rows"
+        assert cfg.admm.gamma == 3.0
         assert cfg.loss == TrainConfig().loss
         ev = _dataclass_from_dict(EvalConfig, {"fpr_targets": [0.1, 0.2]}, "eval")
         assert ev.fpr_targets == (0.1, 0.2)

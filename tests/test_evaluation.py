@@ -4,6 +4,7 @@ import pytest
 import openviewer.tensor_core as tc
 from openviewer import synthgen
 from openviewer.evaluation import (
+    EvalConfig,
     MetricError,
     OscrCurve,
     ScoredPrediction,
@@ -154,6 +155,10 @@ class TestCcrAtFpr:
             got = summary(oscr_curve(preds), TARGETS)
             assert got == {f"ccr_at_fpr_{t:g}": scan(points, t) for t in TARGETS}
             assert all(type(v) is float for v in got.values())
+
+    def test_default_targets_are_eval_configs(self):
+        curve = oscr_curve(random_predictions(np.random.default_rng(9)))
+        assert summary(curve) == summary(curve, EvalConfig().fpr_targets)
 
     def test_points_built_once_on_first_read(self):
         curve = oscr_curve(random_predictions(np.random.default_rng(8)))

@@ -167,12 +167,6 @@ class TestGroupSoftThreshold:
         out = fo.group_soft_threshold(tc.leaf(a), tc.leaf([[0.0]]))
         assert np.array_equal(out.value, a)
 
-    def test_rows_axis(self):
-        a = np.array([[3.0, 4.0], [0.1, 0.2]])
-        out = fo.group_soft_threshold(tc.leaf(a), tc.leaf([[2.0]]), axis="rows")
-        assert out.value[0] == pytest.approx([1.8, 2.4])
-        assert np.array_equal(out.value[1], [0.0, 0.0])
-
     def test_negative_threshold_rejected(self):
         with pytest.raises(tc.DomainError):
             fo.group_soft_threshold(tc.leaf([[1.0]]), tc.leaf([[-1.0]]))

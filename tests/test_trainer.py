@@ -56,6 +56,10 @@ class TestConfigValidation:
         with pytest.raises(TrainerError):
             quick_config(batch_size=1).validate()
 
+    def test_warm_start_refused(self):
+        with pytest.raises(TrainerError, match="warm_start"):
+            quick_config(warm_start=True).validate()
+
 
 class TestSgdStep:
     def test_zero_gradients_identity(self):
@@ -146,9 +150,18 @@ class TestTrain:
         assert abs(w.sum() - 1.0) <= 1e-12
         assert np.all(w >= 0)
 
-    def test_warm_start_runs(self):
+    def test_never_runs_the_solver(self, monkeypatch):
+        # the network starts from one solver iteration's analytic parameters,
+        # not from a solved decomposition
+        from openviewer import admm_oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training ran the ADMM solver")
+
+        for name in ("solve", "init_state", "z_step", "d_step", "e_step"):
+            monkeypatch.setattr(admm_oracle, name, refuse)
         dataset, split = tiny_run_inputs()
-        params, _, _ = train(dataset, split, quick_config(warm_start=True, epochs=1))
+        params, _, _ = train(dataset, split, quick_config(epochs=1))
         assert params.fusion_weights_snapshot is not None
 
     def test_single_class_batches_skip_pseudo(self, caplog):
@@ -289,7 +302,24 @@ class TestCheckpoints:
         payload = json.loads(path.read_text())
         payload["schema_version"] = "2"
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match=r"ckpt\.json: schema '2' does not match supported '3'"):
+        with pytest.raises(CheckpointError, match=r"ckpt\.json: schema '2' does not match supported '4'"):
+            load_checkpoint(path)
+
+    def test_params_store_no_group_axis(self, tmp_path):
+        # noise groups are always feature columns, so schema 4 does not store their axis
+        _, _, _, path = self._trained(tmp_path)
+        assert set(json.loads(path.read_text())["params"]) == set(
+            params_to_dict(init_params((3, 2), 2, seed=0)))
+        assert "group_axis" not in json.loads(path.read_text())["params"]
+
+    def test_schema_3_file_rejected(self, tmp_path):
+        # schema 3 stored the noise groups' axis, which is now always columns
+        _, _, _, path = self._trained(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["schema_version"] = "3"
+        payload["params"]["group_axis"] = "columns"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=r"ckpt\.json: schema '3' does not match supported '4'"):
             load_checkpoint(path)
 
     def test_parameter_shape_mismatch_names_file_and_field(self, tmp_path):

@@ -37,20 +37,19 @@ def small_problem(seed=0, n=10, c=4, dims=(8, 6)):
 
 
 class TestInitParams:
-    def test_orthonormal_dictionary_closed_forms(self):
+    def test_dictionary_closed_forms(self):
+        # R, U, theta and rho follow from the network's own D and L = ||D D^T||
         cfg = ao.AdmmConfig(alpha=0.3, beta=0.5, gamma=0.9)
-        warm = ao.AdmmState(
-            z=[np.zeros((2, 3))],
-            d=[np.hstack([np.eye(3), np.zeros((3, 4))])],
-            e=[np.zeros((2, 7))],
-            l_p=[1.0],
-        )
-        params = init_params([7], 3, cfg, seed=0, num_layers=2, warm_start=warm)
+        params = init_params([7], 3, cfg, seed=0, num_layers=2)
         arrays = params.arrays
-        assert np.array_equal(arrays["r/1/0"], np.zeros((3, 3)))
-        assert np.array_equal(arrays["u/0/0"], np.eye(3))
-        assert arrays["theta/0/0"][0, 0] == pytest.approx(cfg.alpha)
-        assert arrays["rho/0/0"][0, 0] == pytest.approx(cfg.gamma)
+        d = arrays["d_init/0"]
+        lp = ao.power_iteration_norm(d @ d.T)
+        for l in range(2):
+            assert np.array_equal(arrays[f"u/{l}/0"], np.eye(3) / lp)
+            assert arrays[f"theta/{l}/0"][0, 0] == cfg.alpha / lp
+        assert np.array_equal(arrays["r/1/0"], np.eye(3) - (d @ d.T) / lp)
+        assert arrays["rho/0/0"][0, 0] == cfg.gamma / lp
+        assert np.array_equal(arrays["m/0/0"], np.eye(3) / (cfg.beta + unfold_net.INIT_RIDGE))
 
     def test_u_diagonal_at_init(self):
         params = init_params([9, 7], 4, seed=1)
@@ -71,12 +70,6 @@ class TestInitParams:
         norms = np.linalg.norm(params.arrays["d_init/0"], axis=1)
         assert np.allclose(norms, 1.0)
 
-    def test_warm_start_copies_dictionaries(self):
-        x_views = small_problem()
-        state = ao.solve(x_views, ao.AdmmConfig(max_iter=3), code_dim=4)
-        params = init_params([8, 6], 4, seed=0, warm_start=state)
-        for v in range(2):
-            assert np.array_equal(params.arrays[f"d_init/{v}"], state.d[v])
 
 
 class TestModules:
@@ -649,18 +642,16 @@ class TestModuleOps:
             inputs = [z, x, e, rng.normal(size=(4, 4))]
             assert_matches_fine_graph(cd_forward, ref.cd_forward, inputs, seed=trial)
 
-    @pytest.mark.parametrize("axis", ["columns", "rows"])
-    def test_dn_matches_fine_graph(self, axis):
+    def test_dn_matches_fine_graph(self):
         rng = np.random.default_rng(32)
-        ax = 0 if axis == "columns" else 1
         for trial in range(5):
             x, z, d = rng.normal(size=(9, 7)), rng.normal(size=(9, 4)), rng.normal(size=(4, 7))
-            norms = np.linalg.norm(x - z @ d, axis=ax)
+            norms = np.linalg.norm(x - z @ d, axis=0)
             rho = np.array([[np.median(norms)]])
             out, _ = assert_matches_fine_graph(
-                dn_forward, ref.dn_forward, [x, z, d, rho, axis], seed=trial
+                dn_forward, ref.dn_forward, [x, z, d, rho], seed=trial
             )
-            group_norms = np.linalg.norm(out, axis=ax)
+            group_norms = np.linalg.norm(out, axis=0)
             assert np.any(group_norms == 0.0) and np.any(group_norms > 0.0)
 
     @pytest.mark.parametrize("views", [1, 2, 3])
@@ -676,15 +667,14 @@ class TestModuleOps:
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("ablation", ["full", "no_dn", "no_cd_dn"])
-    @pytest.mark.parametrize("axis", ["columns", "rows"])
-    def test_training_graph_matches_fine_graph(self, layers, ablation, axis):
+    def test_training_graph_matches_fine_graph(self, layers, ablation):
         dataset, _ = synthgen.generate(small_spec(jitter=0.3))
         batch = batch_from_dataset(dataset, range(0, 40, 3))
         batch = generate_pseudo(batch, MixConfig(omega=2.0, pseudo_ratio=0.5),
                                 np.random.default_rng(34), 5)
         params = init_params(dataset.view_dims, dataset.class_count,
                              ao.AdmmConfig(alpha=0.05, gamma=1.0), seed=35, num_layers=layers,
-                             group_axis=axis, ablation=ablation, expected_rows=20)
+                             ablation=ablation, expected_rows=20)
         centers = np.random.default_rng(36).normal(size=(5, 5))
         cfg = LossConfig(xi=1.5, lambda1=0.3, lambda2=0.2)
         runs = []
@@ -717,10 +707,7 @@ class TestModuleOps:
             (rf_forward, rf_inputs(rng, with_state=True)),
             (cd_forward, [rng.normal(size=(6, 3)), rng.normal(size=(6, 5)),
                           rng.normal(size=(6, 5)), rng.normal(size=(3, 3))]),
-            (lambda x, z, d, rho: dn_forward(x, z, d, rho, "columns"),
-             [rng.normal(size=(6, 5)), rng.normal(size=(6, 3)), rng.normal(size=(3, 5)),
-              np.array([[1.5]])]),
-            (lambda x, z, d, rho: dn_forward(x, z, d, rho, "rows"),
+            (dn_forward,
              [rng.normal(size=(6, 5)), rng.normal(size=(6, 3)), rng.normal(size=(3, 5)),
               np.array([[1.5]])]),
             (lambda w, z0, z1: tc.custom_op(unfold_net._weighted_sum_kernel, w, z0, z1),
@@ -742,8 +729,6 @@ class TestModuleOps:
         x, z, d = rng.normal(size=(6, 5)), rng.normal(size=(6, 3)), rng.normal(size=(3, 5))
         with pytest.raises(tc.DomainError, match="rho"):
             dn_forward(tc.leaf(x), tc.leaf(z), tc.leaf(d), tc.leaf([[-0.1]]))
-        with pytest.raises(tc.DomainError, match="axis"):
-            dn_forward(x, z, d, np.array([[0.1]]), "diagonal")
 
     @pytest.mark.parametrize("case", ["rf", "cd", "dn", "sum", "fusion"])
     def test_shape_mismatch_names_both_shapes(self, case):
