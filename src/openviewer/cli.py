@@ -50,10 +50,22 @@ def _reject_unknown(data: dict, known, where: str) -> None:
         raise ConfigError(f"unknown config keys in '{where}': {sorted(unknown)}")
 
 
+def _fits(hint, value) -> bool:
+    """Whether a JSON value has a config field's type: a bool is no number,
+    an int is a float, and a list is a tuple."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(args[0], v) for v in value)
+    if args:  # X | None
+        return any(_fits(arg, value) for arg in args)
+    kinds = (int, float) if hint is float else hint
+    return isinstance(value, kinds) and (hint is bool or not isinstance(value, bool))
+
+
 def _dataclass_from_dict(cls, data: dict, where: str):
-    """Build a dataclass from a dict, rejecting unknown keys. Fields typed
-    as a dataclass are built recursively; JSON lists become tuples for
-    tuple-typed fields."""
+    """Build a dataclass from a dict, rejecting unknown keys and values not
+    of their field's type. Fields typed as a dataclass are built
+    recursively; JSON lists become tuples for tuple-typed fields."""
     hints = typing.get_type_hints(cls)
     _reject_unknown(data, (f.name for f in dataclasses.fields(cls)), where)
     kwargs = {}
@@ -63,7 +75,10 @@ def _dataclass_from_dict(cls, data: dict, where: str):
             if not isinstance(value, dict):
                 raise ConfigError(f"config section '{where}.{name}' must be an object")
             value = _dataclass_from_dict(hint, value, f"{where}.{name}")
-        elif typing.get_origin(hint) is tuple and isinstance(value, list):
+        elif not _fits(hint, value):
+            kind = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ConfigError(f"config value '{where}.{name}' must be {kind}, got {value!r}")
+        elif typing.get_origin(hint) is tuple:
             value = tuple(value)
         kwargs[name] = value
     return cls(**kwargs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -129,12 +129,6 @@ class Batch:
         return self.labels.shape[0]
 
 
-@dataclass
-class NormStats:
-    means: list[np.ndarray] = field(default_factory=list)
-    stds: list[np.ndarray] = field(default_factory=list)
-
-
 def _read_csv_matrix(path: Path) -> np.ndarray:
     try:
         data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
@@ -189,38 +183,20 @@ def load(manifest_path) -> MultiViewDataset:
     )
 
 
-def norm_stats(dataset: MultiViewDataset, stats_from) -> NormStats:
-    """Per-view feature means and divisors over the rows `stats_from`.
-
-    The divisor is the column's std, or 1 where that std is below 1e-12.
-    """
-    train_idx = np.asarray(stats_from, dtype=np.intp)
-    if train_idx.size == 0:
-        raise SplitError("z-score statistics need a non-empty train index")
-    stats = NormStats()
+def zscore(dataset: MultiViewDataset, stats_from, rows=None) -> list[np.ndarray]:
+    """Each view's rows `rows` (default: all) standardized by the mean and std
+    of its rows `stats_from`, which must be a non-empty list of row numbers
+    (`SplitError`). Columns with std below 1e-12 are centered, not divided."""
+    fit = checked_indices(stats_from, dataset.n_samples, "split.train_idx")
+    if fit.size == 0:
+        raise SplitError("z-score statistics need a non-empty split.train_idx")
+    out = []
     for v in dataset.views:
-        std = v[train_idx].std(axis=0)
-        stats.means.append(v[train_idx].mean(axis=0))
-        stats.stds.append(np.where(std < 1e-12, 1.0, std))
-    return stats
-
-
-def zscore_normalize(
-    dataset: MultiViewDataset, stats_from
-) -> tuple[MultiViewDataset, NormStats]:
-    """Standardize every feature column by train-split mean/std.
-
-    Columns whose train std is below 1e-12 are centered but not divided.
-    """
-    stats = norm_stats(dataset, stats_from)
-    normalized = MultiViewDataset(
-        views=[(v - mean) / divisor
-               for v, mean, divisor in zip(dataset.views, stats.means, stats.stds)],
-        labels=dataset.labels.copy(),
-        class_count=dataset.class_count,
-        name=dataset.name,
-    )
-    return normalized, stats
+        ref = v[fit]
+        std = ref.std(axis=0)
+        x = v if rows is None else v[rows]
+        out.append((x - ref.mean(axis=0)) / np.where(std < 1e-12, 1.0, std))
+    return out
 
 
 def checked_indices(indices, n_samples: int, name: str, error=SplitError) -> np.ndarray:

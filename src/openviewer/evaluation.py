@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor_core as tc
-from .dataset import Batch, MultiViewDataset, OpennessSplit, checked_indices, norm_stats
-from .losses import CenterState, LossConfig, total_loss
+from .dataset import Batch, MultiViewDataset, OpennessSplit, checked_indices, zscore
+from .losses import LossConfig, total_loss
 from .unfold_net import UnfoldParams, forward, predict, rf_forward
 from .admm_oracle import power_iteration_norm
 
@@ -62,7 +62,7 @@ class OscrCurve:
 
 def score_test_set(
     params: UnfoldParams,
-    centers: CenterState,
+    centers: np.ndarray,
     dataset: MultiViewDataset,
     split: OpennessSplit,
     normalize: bool = True,
@@ -81,8 +81,9 @@ def score_with_codes(
 ) -> tuple[list[ScoredPrediction], np.ndarray]:
     """Inference-mode forward over the test rows (or `indices`): one score
     per sample, plus the fused codes. Predicted classes are dataset class
-    ids; the confidence is the max softmax probability. Raises
-    `tc.NumericError` if any fused code is not finite."""
+    ids; the confidence is the max softmax probability. With `normalize`,
+    the rows are standardized by `split.train_idx` (`dataset.zscore`).
+    Raises `tc.NumericError` if any fused code is not finite."""
     if dataset.view_dims != params.view_dims:
         raise MetricError(
             f"checkpoint dims {params.view_dims} do not match dataset {dataset.view_dims}"
@@ -94,11 +95,10 @@ def score_with_codes(
         )
     rows = checked_indices(split.test_idx if indices is None else indices,
                            dataset.n_samples, "indices", MetricError)
-    views = [v[rows] for v in dataset.views]
     if normalize:
-        # zscore_normalize's elementwise arithmetic, on the scored rows only
-        stats = norm_stats(dataset, split.train_idx)
-        views = [(v - mean) / divisor for v, mean, divisor in zip(views, stats.means, stats.stds)]
+        views = zscore(dataset, split.train_idx, rows)
+    else:
+        views = [v[rows] for v in dataset.views]
     batch = Batch(
         views=views,
         labels=dataset.labels[rows],

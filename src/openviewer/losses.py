@@ -34,18 +34,6 @@ class LossConfig:
             raise LossError(f"center_lr must lie in (0, 1], got {self.center_lr}")
 
 
-@dataclass
-class CenterState:
-    """One center vector per known class in the fused code space."""
-
-    centers: np.ndarray
-
-    def __post_init__(self):
-        self.centers = np.asarray(self.centers, dtype=np.float64)
-        if not np.all(np.isfinite(self.centers)):
-            raise LossError("centers contain non-finite entries")
-
-
 def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
@@ -120,6 +108,20 @@ def _center_term(z: np.ndarray, labels, centers: np.ndarray):
     return np.array([[(diff * diff).sum()]]) * 0.5, vjp
 
 
+def _class_sums(rows: np.ndarray, labels, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class sums of `rows`, added onto 0.0 in row order as `np.sum(axis=0)`
+    adds them, and per-class row counts."""
+    sums = np.zeros((num_classes, rows.shape[1]))
+    np.add.at(sums, labels, rows)
+    return sums, np.bincount(labels, minlength=num_classes)[:, None]
+
+
+def class_means(z: np.ndarray, labels, num_classes: int) -> np.ndarray:
+    """Mean row of `z` per class; zeros for classes with no rows."""
+    sums, counts = _class_sums(z, labels, num_classes)
+    return sums / np.maximum(counts, 1)
+
+
 def update_centers(
     centers: np.ndarray, z_known: np.ndarray, labels, center_lr: float = 1.0
 ) -> np.ndarray:
@@ -130,12 +132,8 @@ def update_centers(
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= centers.shape[0]):
         raise LossError(f"label out of range [0, {centers.shape[0]})")
-    new = centers.copy()
-    for j in np.unique(labels):
-        rows = z_known[labels == j]
-        delta = np.sum(centers[j] - rows, axis=0) / (1.0 + rows.shape[0])
-        new[j] = centers[j] - center_lr * delta
-    return new
+    sums, counts = _class_sums(centers[labels] - z_known, labels, centers.shape[0])
+    return np.where(counts > 0, centers - center_lr * (sums / (1.0 + counts)), centers)
 
 
 def total_loss(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +21,11 @@ from . import tensor_core as tc
 from ._io import atomic_write_text, canonical_json, float_repr
 from .admm_oracle import AdmmConfig
 from .dataset import MultiViewDataset, OpennessSplit, SplitError, checked_indices, make_batches
-from .dataset import zscore_normalize
+from .dataset import zscore
 from .losses import (
-    CenterState,
     LossConfig,
     batch_stats,
+    class_means,
     gradient_bound,
     measured_gradient_norm,
     total_loss,
@@ -33,6 +33,7 @@ from .losses import (
 )
 from .pseudo_gen import GenerationError, MixConfig, generate_pseudo
 from .unfold_net import UnfoldParams, forward, init_params, params_from_dict, params_to_dict
+from .unfold_net import _checked
 
 logger = logging.getLogger(__name__)
 
@@ -157,18 +158,12 @@ def sgd_step(params: UnfoldParams, gradients: dict[str, np.ndarray], eta: float)
     return params
 
 
-def _init_centers(z_known: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    centers = np.zeros((num_classes, z_known.shape[1]))
-    for j in np.unique(labels):
-        centers[j] = z_known[labels == j].mean(axis=0)
-    return centers
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(
     dataset: MultiViewDataset, split: OpennessSplit, config: TrainConfig
-) -> tuple[UnfoldParams, CenterState, TrainLog]:
-    """Run the full loop; deterministic given the config seed.
+) -> tuple[UnfoldParams, np.ndarray, TrainLog]:
+    """Run the full loop; deterministic given the config seed. Returns the
+    parameters, the float64 classes x classes centers and the log.
 
     The split is checked against `dataset` first (`SplitError`). Finiteness
     is checked explicitly every batch (diverging runs abort with a
@@ -190,9 +185,7 @@ def train(
         raise SplitError(f"split.train_idx: {stray.size} of {rows.size} rows are not of a "
                          f"class in split.known_classes, first {stray[:5].tolist()}")
 
-    work = dataset
-    if config.normalize:
-        work, _ = zscore_normalize(dataset, rows)
+    work = replace(dataset, views=zscore(dataset, rows)) if config.normalize else dataset
 
     expected_rows = config.batch_size + math.ceil(
         config.mix.pseudo_ratio * config.batch_size
@@ -236,7 +229,7 @@ def train(
                 ) from exc
             known_rows = ~combined.is_pseudo
             if centers is None:
-                centers = _init_centers(
+                centers = class_means(
                     res.z_fused.value[known_rows], combined.labels[known_rows], num_classes
                 )
 
@@ -286,7 +279,7 @@ def train(
         )
 
     params.fusion_weights_snapshot = ema / ema.sum()
-    return params, CenterState(centers), log
+    return params, centers, log
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +287,18 @@ def train(
 
 
 def save_checkpoint(
-    params: UnfoldParams, centers: CenterState, config: TrainConfig, path
+    params: UnfoldParams, centers: np.ndarray, config: TrainConfig, path
 ) -> None:
     payload = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "params": params_to_dict(params),
-        "centers": centers.centers.tolist(),
+        "centers": centers.tolist(),
         "config": asdict(config),
     }
     atomic_write_text(path, canonical_json(payload))
 
 
-def load_checkpoint(path) -> tuple[UnfoldParams, CenterState, dict]:
+def load_checkpoint(path) -> tuple[UnfoldParams, np.ndarray, dict]:
     import json
 
     try:
@@ -326,7 +319,7 @@ def load_checkpoint(path) -> tuple[UnfoldParams, CenterState, dict]:
         )
     try:
         params = params_from_dict(payload["params"])
-        centers = CenterState(np.array(payload["centers"]))
+        centers = _checked("centers", payload["centers"], (params.num_classes,) * 2)
         config = payload["config"]
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"checkpoint {path} is missing fields: {exc}") from exc

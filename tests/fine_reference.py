@@ -21,9 +21,12 @@ the same errors and gradient norms.
 
 `score_with_codes` and `oscr_curve` are the open-set evaluation as it was
 written before it worked on columns: one dataclass per test row, built
-from numpy scalars, then walked attribute by attribute. The package's
-columnar path must give equal rows (with the same Python types) and equal
-OSCR points.
+from numpy scalars, then walked attribute by attribute, with the
+standardization written out in `standardize`. The package's columnar path
+must give equal rows (with the same Python types) and equal OSCR points.
+
+`update_centers` and `class_means` are the center rules as they were
+written before they used `np.add.at`: one boolean mask per class present.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 import openviewer.tensor_core as tc
 from openviewer.admm_oracle import PowerIterationError
 from openviewer.cli import build_gradcheck_scenario
-from openviewer.dataset import Batch, zscore_normalize
+from openviewer.dataset import Batch
 from openviewer.evaluation import MetricError, OscrCurve
 from openviewer.losses import LossConfig, LossError, _one_hot, total_loss
 from openviewer.unfold_net import (
@@ -225,6 +228,23 @@ def total_loss(z_fused: tc.DiffNode, labels, is_pseudo, centers, config):
     return total, parts
 
 
+def update_centers(centers, z_known, labels, center_lr=1.0):
+    labels = np.asarray(labels, dtype=np.int64)
+    new = centers.copy()
+    for j in np.unique(labels):
+        rows = z_known[labels == j]
+        delta = np.sum(centers[j] - rows, axis=0) / (1.0 + rows.shape[0])
+        new[j] = centers[j] - center_lr * delta
+    return new
+
+
+def class_means(z_known, labels, num_classes):
+    centers = np.zeros((num_classes, z_known.shape[1]))
+    for j in np.unique(labels):
+        centers[j] = z_known[labels == j].mean(axis=0)
+    return centers
+
+
 @dataclass
 class ScoredPrediction:
     index: int
@@ -234,16 +254,24 @@ class ScoredPrediction:
     is_unknown_truth: bool
 
 
+def standardize(view, train_idx):
+    """Every row of `view` standardized by the mean and std of its rows
+    `train_idx`; a column with std below 1e-12 is centered only."""
+    train = view[np.asarray(train_idx, dtype=np.intp)]
+    mean, std = train.mean(axis=0), train.std(axis=0)
+    return (view - mean) / np.where(std < 1e-12, 1.0, std)
+
+
 def score_with_codes(params, dataset, split, normalize=True, indices=None):
     """One row object per test sample, each field cast from a numpy scalar."""
     known = sorted(split.known_classes)
-    work = dataset
+    views = dataset.views
     if normalize:
-        work, _ = zscore_normalize(dataset, split.train_idx)
+        views = [standardize(v, split.train_idx) for v in views]
     rows = np.asarray(split.test_idx if indices is None else indices, dtype=np.intp)
     batch = Batch(
-        views=[v[rows] for v in work.views],
-        labels=work.labels[rows],
+        views=[v[rows] for v in views],
+        labels=dataset.labels[rows],
         is_pseudo=np.zeros(rows.size, dtype=bool),
     )
     with np.errstate(over="ignore", invalid="ignore"):

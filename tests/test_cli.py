@@ -176,6 +176,53 @@ class TestRefusedConfig:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestConfigValueTypes:
+    """A config value of the wrong JSON type is a usage error (exit 1) that
+    names its section and field, before any input file is read."""
+
+    @pytest.mark.parametrize("command, config, field", [
+        ("oracle", {"oracle": {"max_iter": "many"}}, "oracle.max_iter"),
+        ("train", {"train": {"epochs": 2.5}}, "train.epochs"),
+        ("train", {"train": {"normalize": "yes"}}, "train.normalize"),
+        ("eval", {"eval": {"fpr_targets": [0.1, "0.5"]}}, "eval.fpr_targets"),
+        ("synth", {"synth": {"dims": 24}}, "synth.dims"),
+        ("train", {"train": {"learning_rate": True}}, "train.learning_rate"),
+        ("train", {"train": {"loss": {"xi": None}}}, "train.loss.xi"),
+        ("train", {"train": {"threshold_step_scale": "0.02"}}, "train.threshold_step_scale"),
+    ], ids=["string_int", "fractional_int", "string_bool", "string_in_tuple", "number_for_tuple",
+            "bool_for_float", "null_for_float", "string_for_optional"])
+    def test_wrong_type_is_usage_error(self, tmp_path, caplog, command, config, field):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        inputs = {"train": ["--manifest", "m.json", "--split", "s.json"],
+                  "eval": ["--checkpoint", "c.json", "--manifest", "m.json", "--split", "s.json"],
+                  "oracle": ["--manifest", "m.json"], "synth": []}[command]
+        out = tmp_path / "out"
+        assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"config value '{field}' must be" in caplog.text
+        assert "TypeError" not in caplog.text
+        assert not out.exists()
+
+    def test_configs_in_use_load(self):
+        from openviewer.cli import _build_sections
+
+        bench = json.loads((Path(__file__).parent / "fixtures" / "benchmark.json").read_text())
+        train = _build_sections({"train": bench["train"]})["train"]
+        assert (train.epochs, train.learning_rate, train.normalize) == (300, 0.03, False)
+        # ints where floats are declared, null for an optional float
+        built = _build_sections({
+            "train": {"learning_rate": 1, "threshold_step_scale": None, "mix": {"omega": 2}},
+            "oracle": {"max_iter": 300, "tol": 1e-08, "exact_e_prox": False,
+                       "group_axis": "columns", "alpha": 1},
+            "synth": {"dims": [24, 20], "sep_scale": 2},
+            "eval": {"fpr_targets": [1, 0.5]},
+        })
+        assert built["train"].learning_rate == 1 and built["train"].threshold_step_scale is None
+        assert built["oracle"].group_axis == "columns" and built["oracle"].exact_e_prox is False
+        assert built["synth"].dims == (24, 20)
+        assert built["eval"].fpr_targets == (1, 0.5)
+
+
 class TestConfigLoading:
     def test_sections_follow_type_hints(self):
         from openviewer.cli import _dataclass_from_dict
@@ -437,6 +484,51 @@ class TestBadSplitFile:
             "--config", str(cfg), "--out", str(tmp_path / "run"), "--quiet",
         ]) == EXIT_RUNTIME
         assert f"split file {path}:" in caplog.text
+
+
+class TestNormalizedEval:
+    """`eval` of a model trained with `normalize` standardizes the test rows by
+    the split's train rows, so a bad `train_idx` entry fails the command."""
+
+    @pytest.fixture
+    def normalized_run(self, workspace):
+        tmp_path, cfg, data_dir = workspace
+        config = json.loads(cfg.read_text())
+        config["train"].update(normalize=True, learning_rate=0.005)
+        cfg.write_text(json.dumps(config))
+        run = tmp_path / "run"
+        assert main(["train", "--manifest", str(data_dir / "manifest.json"),
+                     "--split", str(tmp_path / "split.json"), "--config", str(cfg),
+                     "--out", str(run), "--quiet"]) == 0
+        return tmp_path, cfg, data_dir, run / "checkpoint.json"
+
+    def _eval(self, normalized_run, split_path):
+        tmp_path, cfg, data_dir, checkpoint = normalized_run
+        out = tmp_path / "eval"
+        code = main(["eval", "--checkpoint", str(checkpoint),
+                     "--manifest", str(data_dir / "manifest.json"), "--split", str(split_path),
+                     "--config", str(cfg), "--out", str(out), "--quiet"])
+        return code, out
+
+    def test_normalized_eval_runs(self, normalized_run):
+        code, out = self._eval(normalized_run, normalized_run[0] / "split.json")
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["n_test"] > 0
+
+    @pytest.mark.parametrize("bad, message", [
+        (-1, r"split\.train_idx: 1 of \d+ entries outside \[0, 60\), first \[-1\]"),
+        (2.7, r"split\.train_idx: \d+ of \d+ entries not integers \(float64\)"),
+        (10**6, r"split\.train_idx: 1 of \d+ entries outside \[0, 60\), first \[1000000\]"),
+    ], ids=["negative", "fraction", "past_end"])
+    def test_bad_train_row_is_runtime_error(self, normalized_run, caplog, bad, message):
+        path = normalized_run[0] / "split.json"
+        split = json.loads(path.read_text())
+        split["train_idx"][0] = bad
+        path.write_text(json.dumps(split))
+        code, out = self._eval(normalized_run, path)
+        assert code == EXIT_RUNTIME
+        assert re.search(r"SplitError: " + message, caplog.text)
+        assert not (out / "summary.json").exists()
 
 
 class TestGradcheckCommand:

@@ -13,7 +13,7 @@ from openviewer.dataset import (
     load,
     make_batches,
     openness_split,
-    zscore_normalize,
+    zscore,
 )
 
 
@@ -85,32 +85,47 @@ class TestConstruction:
 
 class TestNormalize:
     def test_constant_column_centered_only(self):
-        views = [np.hstack([np.full((4, 1), 3.0), np.arange(4.0).reshape(4, 1)])]
+        # constant over the statistics rows 0, 1: its divisor is 1, so the
+        # other rows come out as their distance from that constant
+        views = [np.hstack([np.array([[3.0], [3.0], [4.5], [-1.0]]),
+                            np.arange(4.0).reshape(4, 1)])]
         data = MultiViewDataset(views=views, labels=[0, 0, 1, 1], class_count=2)
-        normed, stats = zscore_normalize(data, [0, 1, 2, 3])
-        assert np.allclose(normed.views[0][:, 0], 0.0)
-        assert stats.stds[0][0] == 1.0
+        (normed,) = zscore(data, [0, 1])
+        assert np.array_equal(normed[:, 0], [0.0, 0.0, 1.5, -4.0])
+        (normed,) = zscore(data, [0, 1, 2, 3])
+        assert np.allclose(normed[:, 1] * np.arange(4.0).std(), np.arange(4.0) - 1.5)
 
     def test_two_value_column(self):
+        # rows 0, 1 have mean 1 and std 1, so every row maps to x - 1
         views = [np.array([[0.0], [2.0], [5.0], [7.0]])]
         data = MultiViewDataset(views=views, labels=[0, 0, 1, 1], class_count=2)
-        normed, stats = zscore_normalize(data, [0, 1])
-        assert stats.means[0][0] == pytest.approx(1.0)
-        assert stats.stds[0][0] == pytest.approx(1.0)
-        assert np.allclose(normed.views[0][:2, 0], [-1.0, 1.0])
+        (normed,) = zscore(data, [0, 1])
+        assert np.allclose(normed[:, 0], [-1.0, 1.0, 4.0, 6.0])
+        (scored,) = zscore(data, [0, 1], rows=np.array([3, 0]))
+        assert np.array_equal(scored, normed[[3, 0]])
 
     def test_train_columns_standardized_post_hoc(self):
         data = tiny_dataset(seed=3)
         train = list(range(0, data.n_samples, 2))
-        normed, _ = zscore_normalize(data, train)
-        for v in normed.views:
+        normed = zscore(data, train)
+        assert [v.shape for v in normed] == [v.shape for v in data.views]
+        for v in normed:
             sub = v[train]
             assert np.all(np.abs(sub.mean(axis=0)) < 1e-10)
             assert np.all(np.abs(sub.std(axis=0) - 1.0) < 1e-10)
 
     def test_empty_train_rejected(self):
-        with pytest.raises(SplitError):
-            zscore_normalize(tiny_dataset(), [])
+        with pytest.raises(SplitError, match="non-empty split.train_idx"):
+            zscore(tiny_dataset(), [])
+
+    @pytest.mark.parametrize("stats_from, message", [
+        ([0, -1], r"split\.train_idx: 1 of 2 entries outside \[0, 12\), first \[-1\]"),
+        ([0, 12], r"split\.train_idx: 1 of 2 entries outside \[0, 12\), first \[12\]"),
+        ([0, 2.7], r"split\.train_idx: 2 of 2 entries not integers \(float64\)"),
+    ], ids=["negative", "past_end", "fraction"])
+    def test_bad_statistics_rows_rejected(self, stats_from, message):
+        with pytest.raises(SplitError, match=message):
+            zscore(tiny_dataset(), stats_from)
 
 
 class TestOpennessSplit:

@@ -17,8 +17,8 @@ from openviewer.evaluation import (
     summary,
 )
 from openviewer.admm_oracle import AdmmConfig
-from openviewer.dataset import openness_split
-from openviewer.losses import CenterState, LossConfig
+from openviewer.dataset import SplitError, openness_split
+from openviewer.losses import LossConfig
 from openviewer.trainer import TrainConfig, train
 from openviewer.unfold_net import forward, init_params
 
@@ -177,7 +177,7 @@ class TestScoreTestSet:
         c = len(split.known_classes)
         params = init_params(dataset.view_dims, c, seed=0)
         params.fusion_weights_snapshot = np.full(dataset.n_views, 1.0 / dataset.n_views)
-        centers = CenterState(np.zeros((c, c)))
+        centers = np.zeros((c, c))
         return dataset, split, params, centers
 
     def test_flags_partition_test_set(self):
@@ -250,6 +250,19 @@ class TestScoreTestSet:
         assert dataset.n_samples == 40
         with pytest.raises(MetricError, match=message):
             score_test_set(params, centers, dataset, split, normalize=False, indices=indices)
+
+    # the standardization statistics come from split.train_idx, so its rows are checked too
+    @pytest.mark.parametrize("bad, message", [
+        (-1, r"split\.train_idx: 1 of \d+ entries outside \[0, 40\), first \[-1\]"),
+        (2.7, r"split\.train_idx: \d+ of \d+ entries not integers \(float64\)"),
+        (10**6, r"split\.train_idx: 1 of \d+ entries outside \[0, 40\), first \[1000000\]"),
+    ], ids=["negative", "fraction", "past_end"])
+    def test_bad_train_rows_raise_when_normalizing(self, bad, message):
+        dataset, split, params, _ = self._setup()
+        split.train_idx = [bad] + split.train_idx[1:]
+        score_with_codes(params, dataset, split, normalize=False)
+        with pytest.raises(SplitError, match=message):
+            score_with_codes(params, dataset, split, normalize=True)
 
     def test_indices_of_any_integer_dtype(self):
         dataset, split, params, centers = self._setup()

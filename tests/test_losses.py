@@ -10,6 +10,7 @@ from openviewer.losses import (
     _center_term,
     _unknown_term,
     batch_stats,
+    class_means,
     gradient_bound,
     measured_gradient_norm,
     total_loss,
@@ -143,6 +144,60 @@ class TestUpdateCenters:
         out = update_centers(centers, np.array([[10.0]]), [1], center_lr=1.0)
         assert out[0, 0] == 1.0 and out[2, 0] == 3.0
         assert out[1, 0] != 2.0
+
+
+def random_center_case(rng, width, with_zeros=False):
+    """Centers, known rows and labels of one random batch; some classes may
+    be absent. With `with_zeros`, a share of the entries are exact +-0.0,
+    as shrinkage leaves them in the fused code."""
+    n = int(rng.integers(1, 40))
+    centers = rng.normal(size=(width, width)) * rng.uniform(0.1, 10.0)
+    z = rng.normal(size=(n, width)) * rng.uniform(0.1, 10.0)
+    if with_zeros:
+        z[rng.random(z.shape) < 0.3] = 0.0
+        z[rng.random(z.shape) < 0.3] = -0.0
+        centers[rng.random(centers.shape) < 0.2] = -0.0
+    labels = rng.integers(0, int(rng.integers(1, width + 1)), size=n)
+    return centers, z, labels, float(rng.choice([1.0, rng.uniform(0.05, 1.0)]))
+
+
+class TestCentersMatchMaskLoops:
+    """`update_centers` and `class_means` against the per-class mask loops
+    of `fine_reference`, bit for bit (the sign of a zero included)."""
+
+    @pytest.mark.parametrize("width", range(2, 12))
+    @pytest.mark.parametrize("with_zeros", [False, True], ids=["dense", "zeros"])
+    def test_running_update_bitwise(self, width, with_zeros):
+        rng = np.random.default_rng([width, with_zeros, 11])
+        for _ in range(100):
+            centers, z, labels, lr = random_center_case(rng, width, with_zeros)
+            out = update_centers(centers, z, labels, lr)
+            expected = ref.update_centers(centers, z, labels, lr)
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("width", range(2, 12))
+    @pytest.mark.parametrize("with_zeros", [False, True], ids=["dense", "zeros"])
+    def test_first_batch_means_bitwise(self, width, with_zeros):
+        rng = np.random.default_rng([width, with_zeros, 12])
+        for _ in range(100):
+            _, z, labels, _ = random_center_case(rng, width, with_zeros)
+            out = class_means(z, labels, width)
+            assert out.tobytes() == ref.class_means(z, labels, width).tobytes()
+
+    def test_width_one_within_rounding(self):
+        # numpy sums a single column pairwise, in blocks, where `np.add.at`
+        # adds row by row, so the last bits may differ at width 1. Training
+        # never has width 1: it needs at least 2 known classes.
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            centers, z = rng.normal(size=(2, 1)), rng.normal(size=(n, 1))
+            labels = rng.integers(0, 2, size=n)
+            assert np.allclose(update_centers(centers, z, labels, 0.7),
+                               ref.update_centers(centers, z, labels, 0.7),
+                               rtol=1e-12, atol=1e-12)
+            assert np.allclose(class_means(z, labels, 2), ref.class_means(z, labels, 2),
+                               rtol=1e-12, atol=1e-12)
 
 
 class TestTotalLoss:

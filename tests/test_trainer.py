@@ -267,7 +267,9 @@ class TestCheckpoints:
     def test_every_entry_preserved(self, tmp_path):
         params, centers, _, path = self._trained(tmp_path)
         loaded_params, loaded_centers, _ = load_checkpoint(path)
-        assert np.array_equal(loaded_centers.centers, centers.centers)
+        assert loaded_centers.dtype == centers.dtype == np.float64
+        assert loaded_centers.shape == centers.shape == (params.num_classes,) * 2
+        assert np.array_equal(loaded_centers, centers)
         assert list(loaded_params.arrays) == list(params.arrays)
         for name, value in params.arrays.items():
             assert np.array_equal(loaded_params.arrays[name], value), name
@@ -411,6 +413,22 @@ class TestCheckpoints:
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError,
                            match=r"ckpt\.json: fusion_weights_snapshot has non-finite entries"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c[1].__setitem__(0, float("nan")), "centers has non-finite entries"),
+        (lambda c: c[0].__setitem__(1, float("inf")), "centers has non-finite entries"),
+        (lambda c: c.pop(), r"centers has shape \(\d, \d\), expected \((\d), \1\)"),
+        (lambda c: [row.pop() for row in c], r"centers has shape \(\d, \d\), expected"),
+        (lambda c: c.append(c[0]), r"centers has shape \(\d, \d\), expected"),
+        (lambda c: c[0].append([1.0]), "centers is not a numeric array"),
+    ], ids=["nan", "inf", "short", "narrow", "extra_row", "ragged"])
+    def test_bad_centers_rejected(self, tmp_path, edit, message):
+        _, _, _, path = self._trained(tmp_path)
+        payload = json.loads(path.read_text())
+        edit(payload["centers"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=rf"checkpoint .*ckpt\.json: {message}"):
             load_checkpoint(path)
 
     def test_unknown_ablation_rejected(self, tmp_path):
