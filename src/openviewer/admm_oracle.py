@@ -44,7 +44,7 @@ class PowerIterationError(ArithmeticError):
     """Power iteration failed to converge within the iteration cap."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdmmConfig:
     """Regularization weights and stopping rule.
 
@@ -61,7 +61,7 @@ class AdmmConfig:
     exact_e_prox: bool = False
     group_axis: str = "columns"  # noise groups are feature columns; kept as configs still set it
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.alpha <= 0 or self.beta <= 0 or self.gamma <= 0:
             raise ValueError("alpha, beta, gamma must be positive")
         if self.tol <= 0:
@@ -297,7 +297,6 @@ def init_state(x_views: list[np.ndarray], config: AdmmConfig, code_dim: int) -> 
 
 def solve(x_views: list[np.ndarray], config: AdmmConfig, code_dim: int) -> AdmmState:
     """Alternate Z/D/E updates until the relative objective change < tol."""
-    config.validate()
     state = init_state(x_views, config, code_dim)
     state.objective_trace.append(objective(state, x_views, config))
     for _ in range(config.max_iter):

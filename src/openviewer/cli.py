@@ -51,11 +51,13 @@ def _reject_unknown(data: dict, known, where: str) -> None:
 
 
 def _fits(hint, value) -> bool:
-    """Whether a JSON value has a config field's type: a bool is no number,
-    an int is a float, and a list is a tuple."""
+    """Whether a JSON value has a config field's type: a bool is no number, an int is a float,
+    and a list is a tuple of the hint's length, or of any length if the hint ends in `...`."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(_fits(args[0], v) for v in value)
+        seq = isinstance(value, (list, tuple))
+        kinds = args[:1] * len(value) if seq and args[-1] is ... else args
+        return seq and len(value) == len(kinds) and all(map(_fits, kinds, value))
     if args:  # X | None
         return any(_fits(arg, value) for arg in args)
     kinds = (int, float) if hint is float else hint
@@ -106,12 +108,10 @@ def _build_sections(config: dict) -> dict:
     for name, data in config.items():
         if not isinstance(data, dict):
             raise ConfigError(f"config section '{name}' must be an object")
-        if name == "split":  # read as a plain dict
-            _reject_unknown(data, ("openness", "ratios", "seed"), "split")
-            built[name] = data
-            continue
         if name == "synth":
             from .synthgen import SynthSpec as cls
+        elif name == "split":
+            from .dataset import SplitConfig as cls
         elif name == "train":
             from .trainer import TrainConfig as cls
             # init_params reads only these; the solver's other settings do nothing in training
@@ -144,7 +144,7 @@ def _cmd_synth(args, configs):
     if args.spec:
         spec = _dataclass_from_dict(SynthSpec, _load_config_file(args.spec), "synth")
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = dataclasses.replace(spec, seed=args.seed)
     dataset, planted = generate(spec)
 
     out = Path(args.out)
@@ -173,19 +173,12 @@ def _cmd_synth(args, configs):
 
 
 def _cmd_split(args, configs):
-    from .dataset import load, openness_split
+    from .dataset import SplitConfig, load, openness_split
 
-    section = configs.get("split", {})
-    openness = args.openness if args.openness is not None else section.get("openness", 0.1)
-    ratios = tuple(section.get("ratios", (0.1, 0.1, 0.8)))
-    if args.ratios:
-        parts = [float(x) for x in args.ratios.split(",")]
-        if len(parts) != 3:
-            raise ConfigError("--ratios needs three comma-separated numbers")
-        ratios = tuple(parts)
-    seed = args.seed if args.seed is not None else section.get("seed", 0)
+    flags = {k: v for k in ("openness", "ratios", "seed") if (v := getattr(args, k)) is not None}
+    cfg = dataclasses.replace(configs.get("split") or SplitConfig(), **flags)
     dataset = load(args.manifest)
-    split = openness_split(dataset, openness, ratios, seed)
+    split = openness_split(dataset, cfg.openness, cfg.ratios, cfg.seed)
     out = Path(args.out)
     path = out / "split.json" if out.suffix == "" else out
     atomic_write_text(path, split.to_json())
@@ -212,7 +205,7 @@ def _cmd_train(args, configs):
 
     cfg = configs.get("train") or TrainConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     dataset = load(args.manifest)
     split = _load_split(args.split)
     params, centers, log = train(dataset, split, cfg)
@@ -265,7 +258,7 @@ def _cmd_oracle(args, configs):
 
     cfg = configs.get("oracle") or AdmmConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     dataset = load(args.manifest)
     state = solve(dataset.views, cfg, code_dim=dataset.class_count)
     out = Path(args.out)
@@ -395,6 +388,13 @@ def _cmd_diag(args, configs):
 # argument wiring
 
 
+def _ratios(text: str) -> tuple[float, ...]:
+    parts = text.split(",")
+    if len(parts) != 3:  # a part that is no number raises argparse's usage error too
+        raise argparse.ArgumentTypeError(f"needs three comma-separated numbers, got {text!r}")
+    return tuple(map(float, parts))
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="openviewer", description=__doc__)
     parser.add_argument("--version", action="version", version=version_info())
@@ -414,7 +414,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("split", help="compute an openness-based class split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--openness", type=float, default=None)
-    p.add_argument("--ratios", default=None, help="train,val,test")
+    p.add_argument("--ratios", type=_ratios, default=None, help="train,val,test")
     common(p)
 
     p = sub.add_parser("train", help="train the unfolded network")

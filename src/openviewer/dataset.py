@@ -221,6 +221,14 @@ def achieved_openness(known_count: int, total_classes: int) -> float:
     return 1.0 - math.sqrt(2.0 * known_count / (known_count + total_classes))
 
 
+@dataclass(frozen=True)
+class SplitConfig:
+    """The `split` config section; `openness_split` checks the values."""
+    openness: float = 0.1
+    ratios: tuple[float, float, float] = (0.1, 0.1, 0.8)
+    seed: int = 0
+
+
 def openness_split(
     dataset: MultiViewDataset,
     openness: float,

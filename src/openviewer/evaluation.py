@@ -31,9 +31,13 @@ class MetricError(ValueError):
     """Metric inputs are degenerate (missing known or unknown samples)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalConfig:
     fpr_targets: tuple[float, ...] = (0.005, 0.01, 0.05, 0.1, 0.5)
+
+    def __post_init__(self) -> None:
+        if not all(0.0 < t <= 1.0 for t in self.fpr_targets):
+            raise MetricError(f"fpr_targets must lie in (0, 1], got {self.fpr_targets}")
 
 
 class ScoredPrediction(NamedTuple):

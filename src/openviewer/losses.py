@@ -20,14 +20,14 @@ class LossError(ValueError):
     """Loss inputs outside their domain."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     xi: float = 5.0
     lambda1: float = 0.1
     lambda2: float = 0.1
     center_lr: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.xi < 0 or self.lambda1 < 0 or self.lambda2 < 0:
             raise LossError("xi, lambda1, lambda2 must be non-negative")
         if not 0.0 < self.center_lr <= 1.0:
@@ -153,7 +153,6 @@ def total_loss(
     tensor_core.backward on the returned node populates the gradients of
     every bound parameter.
     """
-    config.validate()
     labels = np.asarray(labels, dtype=np.int64)
     is_pseudo = np.asarray(is_pseudo, dtype=bool)
     known_idx = np.flatnonzero(~is_pseudo)

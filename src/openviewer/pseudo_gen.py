@@ -23,25 +23,16 @@ class GenerationError(ValueError):
     """Batch cannot support pseudo-sample generation."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MixConfig:
     omega: float = 2.0
     pseudo_ratio: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.omega <= 0:
             raise ParameterError(f"omega must be positive, got {self.omega}")
         if not 0.0 < self.pseudo_ratio <= 1.0:
             raise ParameterError(f"pseudo_ratio must lie in (0, 1], got {self.pseudo_ratio}")
-
-
-def sample_beta(omega: float, rng: np.random.Generator) -> float:
-    """Draw Beta(omega, omega) via two Gamma(omega, 1) variates."""
-    if omega <= 0:
-        raise ParameterError(f"omega must be positive, got {omega}")
-    g1 = rng.gamma(omega, 1.0)
-    g2 = rng.gamma(omega, 1.0)
-    return float(g1 / (g1 + g2))
 
 
 def generate_pseudo(
@@ -52,9 +43,8 @@ def generate_pseudo(
     Source pairs always carry different labels; pseudo rows get
     `unknown_label` and raised is_pseudo flags. Draw order per pseudo
     sample is (i, j, zeta), so generation is reproducible from the
-    generator state.
+    generator state; zeta = g[0] / (g[0] + g[1]) for g = rng.gamma(omega, 1.0, 2).
     """
-    config.validate()
     labels = batch.labels
     classes = np.unique(labels).tolist()
     if len(classes) < 2:
@@ -71,7 +61,8 @@ def generate_pseudo(
         first[k] = rng.integers(b)
         pool = others[labels[first[k]].item()]
         second[k] = pool[rng.integers(pool.size)]
-        zetas[k] = sample_beta(config.omega, rng)
+        g = rng.gamma(config.omega, 1.0, 2)
+        zetas[k] = g[0] / (g[0] + g[1])
     pseudo_rows = [zetas * x[first] + (1.0 - zetas) * x[second] for x in batch.views]
 
     return Batch(

@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import MultiViewDataset
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     classes: int = 7
     samples_per_class: int = 40
@@ -28,7 +28,7 @@ class SynthSpec:
     jitter: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.classes < 3:
             raise ValueError("need at least 3 classes")
         if self.samples_per_class < 2:
@@ -59,7 +59,6 @@ def _orthonormal_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
 
 def generate(spec: SynthSpec) -> tuple[MultiViewDataset, PlantedFactors]:
     """Build the planted dataset and its ground-truth factors."""
-    spec.validate()
     n = spec.classes * spec.samples_per_class
     labels = np.repeat(np.arange(spec.classes), spec.samples_per_class)
 

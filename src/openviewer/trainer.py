@@ -53,7 +53,7 @@ class CheckpointError(ValueError):
     """Checkpoint file is unreadable or incompatible."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 50
@@ -68,7 +68,7 @@ class TrainConfig:
     warm_start: bool = False  # only False: kept because existing configs still set it
     threshold_step_scale: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 1:
             raise TrainerError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate < 0:
@@ -79,9 +79,6 @@ class TrainConfig:
             raise TrainerError(f"layers must be >= 1, got {self.layers}")
         if self.warm_start:
             raise TrainerError("warm_start must be false: training starts from the analytic init")
-        self.mix.validate()
-        self.loss.validate()
-        self.admm.validate()
 
 
 @dataclass
@@ -165,11 +162,10 @@ def train(
     """Run the full loop; deterministic given the config seed. Returns the
     parameters, the float64 classes x classes centers and the log.
 
-    The split is checked against `dataset` first (`SplitError`). Finiteness
-    is checked explicitly every batch (diverging runs abort with a
-    diagnostic), so numpy's own overflow warnings stay silenced here.
+    The split is checked against `dataset` first (`SplitError`). Every batch
+    checks the forward, the loss and the stepped parameters for finiteness
+    (naming the epoch and batch), so numpy's overflow warnings stay silenced.
     """
-    config.validate()
     known = checked_indices(split.known_classes, dataset.class_count, "split.known_classes")
     if np.unique(known).size != known.size:
         raise SplitError(f"split.known_classes: repeated entries in {known.tolist()}")
@@ -254,6 +250,9 @@ def train(
 
             grads = {name: n.grad * scales[name] for name, n in res.param_nodes.items()}
             sgd_step(params, grads, config.learning_rate)
+            for name, value in params.arrays.items():
+                if not np.isfinite(value).all():
+                    raise TrainerError(f"non-finite {name} after epoch {epoch} batch {b_idx}")
             centers = update_centers(
                 centers,
                 res.z_fused.value[known_rows],

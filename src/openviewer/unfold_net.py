@@ -408,7 +408,8 @@ def _weighted_sum_kernel(w, *codes):
 
 
 def _bind_params(params: UnfoldParams) -> dict[str, tc.DiffNode]:
-    return {n: tc.leaf(a) for n, a in params.arrays.items()}
+    # copies, so the tape keeps its values while sgd_step writes the arrays
+    return {n: tc.DiffNode(a.copy()) for n, a in params.arrays.items()}
 
 
 def forward(
@@ -428,9 +429,9 @@ def forward(
 
     Inference runs the same kernels on plain arrays: it binds no
     parameter nodes and records nothing, and `z_fused` is a plain array.
-    It reads `params.arrays` as they are, checked when `UnfoldParams` was
-    built; a non-finite entry written since then makes the fused code
-    non-finite, or a threshold check raise `tc.NumericError`.
+    Both modes read `params.arrays` as they are, checked when built (and
+    by `trainer.train` after each step): a non-finite entry written since
+    makes the fused code non-finite, or a threshold raise `NumericError`.
     """
     views = batch.views if hasattr(batch, "views") else list(batch)
     if len(views) != params.n_views:

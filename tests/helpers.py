@@ -88,6 +88,7 @@ def analytic_params_from_oracle(
 # canonical open-set benchmark (fixtures/benchmark.json)
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from openviewer.dataset import MultiViewDataset, openness_split
@@ -150,7 +151,7 @@ def benchmark_train_config(seed: int, ablation: str = "full",
     raw = load_benchmark_fixture()["train"]
     loss = LossConfig(**raw["loss"])
     if lambda1 is not None:
-        loss.lambda1 = lambda1
+        loss = replace(loss, lambda1=lambda1)
     from openviewer.admm_oracle import AdmmConfig
 
     return TrainConfig(

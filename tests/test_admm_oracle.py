@@ -391,9 +391,10 @@ class TestSteps:
     def test_d_step_singular_system_raises(self):
         x_views = random_problem(seed=16)
         state = random_state(x_views, c=4, seed=17)
-        state.z = [np.zeros_like(z) for z in state.z]
+        # equal huge codes: Z^T Z + beta I rounds to a rank-1 matrix
+        state.z = [np.full_like(z, 1e150) for z in state.z]
         with pytest.raises(ao.FactorizationError, match="not SPD"):
-            ao.d_step(state, x_views, ao.AdmmConfig(beta=0.0))
+            ao.d_step(state, x_views, ao.AdmmConfig())
 
     def test_objective_reuses_the_e_step_fit_bitwise(self):
         cfg = ao.AdmmConfig(alpha=0.3, beta=0.4, gamma=0.8)
@@ -475,9 +476,9 @@ class TestSolve:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            ao.solve(random_problem(), ao.AdmmConfig(alpha=0.0), code_dim=3)
+            ao.AdmmConfig(alpha=0.0)
         with pytest.raises(ValueError, match="group_axis"):
-            ao.solve(random_problem(), ao.AdmmConfig(group_axis="rows"), code_dim=3)
+            ao.AdmmConfig(group_axis="rows")
 
     def test_no_code_path_loads_scipy(self, tmp_path):
         # a fresh interpreter: pytest's own process may hold scipy already

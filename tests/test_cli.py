@@ -142,14 +142,20 @@ class TestRefusedConfig:
         ("oracle", {"train": {"epochz": 1}}, 1, "'train': ['epochz']"),
         ("train", {"train": {"admm": 5}}, 1, "'train.admm' must be an object"),
         ("train", {"train": {"mix": [1]}}, 1, "'train.mix' must be an object"),
+        # checked when built, before the (missing) checkpoint is read
+        ("eval", {"eval": {"fpr_targets": [0.1, 0.0]}}, EXIT_RUNTIME,
+         "fpr_targets must lie in (0, 1], got (0.1, 0.0)"),
+        ("oracle", {"train": {"epochs": 0}}, EXIT_RUNTIME, "epochs must be >= 1"),
     ], ids=["warm_start", "group_axis_rows", "train_admm_max_iter", "train_admm_tol",
             "train_admm_group_axis", "stale_eval_key", "stale_oracle_key", "stale_train_key",
-            "admm_not_object", "mix_not_object"])
+            "admm_not_object", "mix_not_object", "zero_fpr_target", "unread_section_range"])
     def test_refused(self, workspace, caplog, command, config, code, field):
         tmp_path, _, data_dir = workspace
         cfg = tmp_path / "refused.json"
         cfg.write_text(json.dumps(config))
-        inputs = {"train": ["--split", str(tmp_path / "split.json")], "oracle": []}[command]
+        inputs = {"train": ["--split", str(tmp_path / "split.json")], "oracle": [],
+                  "eval": ["--split", str(tmp_path / "split.json"),
+                           "--checkpoint", str(tmp_path / "missing.json")]}[command]
         out = tmp_path / "out"
         assert main([command, "--manifest", str(data_dir / "manifest.json"), *inputs,
                      "--config", str(cfg), "--out", str(out), "--quiet"]) == code
@@ -189,14 +195,20 @@ class TestConfigValueTypes:
         ("train", {"train": {"learning_rate": True}}, "train.learning_rate"),
         ("train", {"train": {"loss": {"xi": None}}}, "train.loss.xi"),
         ("train", {"train": {"threshold_step_scale": "0.02"}}, "train.threshold_step_scale"),
+        ("split", {"split": {"openness": "0.5"}}, "split.openness"),
+        ("split", {"split": {"seed": 1.5}}, "split.seed"),
+        ("split", {"split": {"ratios": 5}}, "split.ratios"),
+        ("split", {"split": {"ratios": [0.5, 0.5]}}, "split.ratios"),
     ], ids=["string_int", "fractional_int", "string_bool", "string_in_tuple", "number_for_tuple",
-            "bool_for_float", "null_for_float", "string_for_optional"])
+            "bool_for_float", "null_for_float", "string_for_optional", "split_string_float",
+            "split_fractional_seed", "split_number_for_tuple", "split_short_tuple"])
     def test_wrong_type_is_usage_error(self, tmp_path, caplog, command, config, field):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
         inputs = {"train": ["--manifest", "m.json", "--split", "s.json"],
                   "eval": ["--checkpoint", "c.json", "--manifest", "m.json", "--split", "s.json"],
-                  "oracle": ["--manifest", "m.json"], "synth": []}[command]
+                  "oracle": ["--manifest", "m.json"], "split": ["--manifest", "m.json"],
+                  "synth": []}[command]
         out = tmp_path / "out"
         assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 1
         assert f"config value '{field}' must be" in caplog.text
@@ -216,11 +228,21 @@ class TestConfigValueTypes:
                        "group_axis": "columns", "alpha": 1},
             "synth": {"dims": [24, 20], "sep_scale": 2},
             "eval": {"fpr_targets": [1, 0.5]},
+            "split": {"openness": 0, "ratios": [1, 0, 0]},
         })
         assert built["train"].learning_rate == 1 and built["train"].threshold_step_scale is None
         assert built["oracle"].group_axis == "columns" and built["oracle"].exact_e_prox is False
         assert built["synth"].dims == (24, 20)
         assert built["eval"].fpr_targets == (1, 0.5)
+        assert (built["split"].openness, built["split"].ratios, built["split"].seed) == \
+            (0, (1, 0, 0), 0)
+
+    @pytest.mark.parametrize("ratios", ["0.5,0.5,x", "0.5,0.5", "0.2,0.2,0.2,0.4"])
+    def test_bad_ratios_flag_is_usage_error(self, tmp_path, capsys, ratios):
+        out = tmp_path / "split.json"
+        assert main(["split", "--manifest", "m.json", "--ratios", ratios, "--out", str(out)]) == 1
+        assert "argument --ratios" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigLoading:
@@ -293,6 +315,20 @@ class TestPipeline:
         split = json.loads((tmp_path / "split.json").read_text())
         assert set(split["known_classes"]) | set(split["unknown_classes"]) == set(range(5))
         assert 0 <= split["openness_achieved"] < 1
+
+    def test_split_flags_override_the_section(self, workspace):
+        from openviewer.dataset import openness_split
+
+        tmp_path, cfg, data_dir = workspace
+        dataset = load(data_dir / "manifest.json")
+        section = openness_split(dataset, 0.2, (0.5, 0.1, 0.4), 4)
+        assert (tmp_path / "split.json").read_text() == section.to_json()
+        out = tmp_path / "flagged.json"
+        assert main(["split", "--manifest", str(data_dir / "manifest.json"), "--config", str(cfg),
+                     "--openness", "0.4", "--ratios", "0.3,0.2,0.5", "--seed", "9",
+                     "--out", str(out), "--quiet"]) == 0
+        flagged = openness_split(dataset, 0.4, (0.3, 0.2, 0.5), 9)
+        assert out.read_text() == flagged.to_json()
 
     def test_train_then_eval(self, workspace):
         tmp_path, cfg, data_dir = workspace

@@ -311,9 +311,9 @@ class TestGradientBound:
 
     def test_config_validation(self):
         with pytest.raises(LossError):
-            LossConfig(center_lr=0.0).validate()
+            LossConfig(center_lr=0.0)
         with pytest.raises(LossError):
-            LossConfig(lambda1=-0.1).validate()
+            LossConfig(lambda1=-0.1)
 
 
 def same_bits(a, b) -> bool:

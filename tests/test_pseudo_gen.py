@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from openviewer.pseudo_gen import (
     MixConfig,
     ParameterError,
     generate_pseudo,
-    sample_beta,
 )
 
 
@@ -24,8 +24,8 @@ class _StubRng:
     def integers(self, _n):
         return self._integers.pop(0)
 
-    def gamma(self, _shape, _scale):
-        return self._gammas.pop(0)
+    def gamma(self, _shape, _scale, size):
+        return np.array([self._gammas.pop(0) for _ in range(size)])
 
 
 def two_class_batch():
@@ -37,7 +37,8 @@ def two_class_batch():
 
 
 def per_row_pseudo(batch, config, rng):
-    """Reference: mixes the pseudo rows one at a time, in the draw order."""
+    """Reference: mixes the pseudo rows one at a time, in the draw order,
+    each zeta from two scalar Gamma(omega, 1) draws."""
     labels = batch.labels
     n_pseudo = math.ceil(config.pseudo_ratio * batch.size)
     pseudo_rows = [np.empty((n_pseudo, v.shape[1])) for v in batch.views]
@@ -45,30 +46,37 @@ def per_row_pseudo(batch, config, rng):
         i = int(rng.integers(batch.size))
         others = np.flatnonzero(labels != labels[i])
         j = int(others[rng.integers(others.size)])
-        zeta = sample_beta(config.omega, rng)
+        g1, g2 = rng.gamma(config.omega, 1.0), rng.gamma(config.omega, 1.0)
+        zeta = g1 / (g1 + g2)
         for v, view in enumerate(batch.views):
             pseudo_rows[v][k] = zeta * view[i] + (1.0 - zeta) * view[j]
     return pseudo_rows
 
 
-class TestSampleBeta:
+def mixed_first_entries(omega: float, seed: int, n: int = 100_000) -> np.ndarray:
+    """First entries of n pseudo rows mixed from a batch of rows e0 (label 0)
+    and e1 (label 1): each is zeta or 1 - zeta, which have the same law
+    under the symmetric Beta(omega, omega)."""
+    batch = Batch(views=[np.tile(np.eye(2), (n // 2, 1))], labels=np.tile([0, 1], n // 2),
+                  is_pseudo=np.zeros(n, dtype=bool))
+    out = generate_pseudo(batch, MixConfig(omega=omega), np.random.default_rng(seed), 2)
+    return out.views[0][n:, 0]
+
+
+class TestZetaLaw:
     def test_uniform_for_omega_one(self):
-        rng = np.random.default_rng(0)
-        draws = np.array([sample_beta(1.0, rng) for _ in range(100_000)])
+        draws = mixed_first_entries(1.0, seed=0)
         assert abs(draws.mean() - 0.5) < 0.01
         ks = scipy.stats.kstest(draws, "uniform").statistic
         assert ks < 0.01
 
     @pytest.mark.parametrize("omega", [0.5, 2.0, 8.0])
     def test_symmetric_mean(self, omega):
-        rng = np.random.default_rng(1)
-        draws = np.array([sample_beta(omega, rng) for _ in range(100_000)])
+        draws = mixed_first_entries(omega, seed=1)
         assert abs(draws.mean() - 0.5) < 0.01
         assert draws.min() >= 0.0 and draws.max() <= 1.0
-
-    def test_rejects_nonpositive_omega(self):
-        with pytest.raises(ParameterError):
-            sample_beta(0.0, np.random.default_rng(0))
+        ks = scipy.stats.kstest(draws, scipy.stats.beta(omega, omega).cdf).statistic
+        assert ks < 0.01
 
 
 class TestGeneratePseudo:
@@ -154,8 +162,13 @@ class TestGeneratePseudo:
         with pytest.raises(GenerationError):
             generate_pseudo(batch, MixConfig(), np.random.default_rng(0), 2)
 
-    def test_invalid_config(self):
+    @pytest.mark.parametrize("fields", [{"pseudo_ratio": 0.0}, {"omega": -1.0}, {"omega": 0.0}])
+    def test_invalid_config_refused_when_built(self, fields):
         with pytest.raises(ParameterError):
-            MixConfig(pseudo_ratio=0.0).validate()
+            MixConfig(**fields)
         with pytest.raises(ParameterError):
-            MixConfig(omega=-1.0).validate()
+            dataclasses.replace(MixConfig(), **fields)
+
+    def test_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            MixConfig().omega = 0.0

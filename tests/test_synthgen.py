@@ -9,15 +9,15 @@ from helpers import small_spec
 class TestSpecValidation:
     def test_rejects_too_few_classes(self):
         with pytest.raises(ValueError):
-            small_spec(classes=2).validate()
+            small_spec(classes=2)
 
     def test_rejects_dim_below_classes(self):
         with pytest.raises(ValueError):
-            small_spec(dims=(4, 10)).validate()
+            small_spec(dims=(4, 10))
 
     def test_rejects_noise_fraction(self):
         with pytest.raises(ValueError):
-            small_spec(noise_col_frac=0.6).validate()
+            small_spec(noise_col_frac=0.6)
 
 
 class TestGenerate:

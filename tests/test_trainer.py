@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -20,7 +21,7 @@ from openviewer.trainer import (
 )
 from openviewer.unfold_net import init_params, params_to_dict
 
-from helpers import small_spec
+from helpers import benchmark_train_config, make_openset_benchmark, small_spec
 
 
 def tiny_run_inputs(seed=0):
@@ -50,15 +51,23 @@ def quick_config(seed=0, **overrides):
 class TestConfigValidation:
     def test_epochs_floor(self):
         with pytest.raises(TrainerError):
-            quick_config(epochs=0).validate()
+            quick_config(epochs=0)
 
     def test_batch_floor(self):
         with pytest.raises(TrainerError):
-            quick_config(batch_size=1).validate()
+            quick_config(batch_size=1)
 
     def test_warm_start_refused(self):
         with pytest.raises(TrainerError, match="warm_start"):
-            quick_config(warm_start=True).validate()
+            quick_config(warm_start=True)
+
+    def test_frozen_and_rechecked_on_replace(self):
+        cfg = quick_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 1
+        assert dataclasses.replace(cfg, seed=1).seed == 1
+        with pytest.raises(TrainerError, match="epochs"):
+            dataclasses.replace(cfg, epochs=0)
 
 
 class TestSgdStep:
@@ -183,6 +192,16 @@ class TestTrain:
         for v in range(dataset.n_views):
             assert np.array_equal(a.arrays[f"d_init/{v}"], b.arrays[f"d_init/{v}"])
         assert np.array_equal(a.fusion_weights_snapshot, b.fusion_weights_snapshot)
+
+    def test_non_finite_step_names_epoch_batch_and_parameter(self):
+        # one batch whose step overflows d_init/*, u/0/0 and r/1/*: checked
+        # after the step, before a checkpoint could be written
+        dataset, split = make_openset_benchmark(1)
+        cfg = dataclasses.replace(benchmark_train_config(1), epochs=1, batch_size=1000,
+                                  learning_rate=1.7e308)
+        assert len(split.train_idx) <= cfg.batch_size
+        with pytest.raises(TrainerError, match=r"^non-finite d_init/0 after epoch 1 batch 0$"):
+            train(dataset, split, cfg)
 
     def test_needs_two_known_classes(self):
         dataset, split = tiny_run_inputs()
