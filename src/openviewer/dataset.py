@@ -244,6 +244,8 @@ def openness_split(
     """
     if not 0.0 <= openness < 1.0:
         raise SplitError(f"openness must lie in [0, 1), got {openness}")
+    if not all(math.isfinite(r) and 0.0 <= r <= 1.0 for r in ratios):
+        raise SplitError(f"ratios must be finite and lie in [0, 1], got {ratios}")
     if abs(1.0 - (ratios[0] + ratios[1] + ratios[2])) > 1e-9:
         raise SplitError(f"ratios must sum to 1, got {ratios}")
     total = dataset.class_count

@@ -217,31 +217,35 @@ class BatchStats:
 
 
 def batch_stats(z_values: np.ndarray, labels, is_pseudo, centers: np.ndarray) -> BatchStats:
+    """The bound's statistics from one row softmax and one row-norm pass over
+    the whole batch, split afterward into known and pseudo rows (every row's
+    softmax and norm reads only that row)."""
     labels = np.asarray(labels, dtype=np.int64)
     is_pseudo = np.asarray(is_pseudo, dtype=bool)
-    known = z_values[~is_pseudo]
-    pseudo = z_values[is_pseudo]
-    known_labels = labels[~is_pseudo]
-    counts = np.bincount(known_labels, minlength=centers.shape[0])
+    known = ~is_pseudo
+    counts = np.bincount(labels[known], minlength=centers.shape[0])
     present = counts[counts > 0]
-    probs_known = _log_softmax(known)[1] if known.size else np.zeros((0, z_values.shape[1]))
-    probs_pseudo = _log_softmax(pseudo)[1] if pseudo.size else np.zeros((0, z_values.shape[1]))
+    if z_values.size:
+        p_norms = _row_norms(_log_softmax(z_values)[1])
+    else:
+        p_norms = np.zeros(z_values.shape[0])
+    z_norms = _row_norms(z_values)
+    n_pseudo = int(np.count_nonzero(is_pseudo))
+    n_known = z_values.shape[0] - n_pseudo
 
-    def max_row_norm(mat):
-        if mat.shape[0] == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(mat, axis=1)))
+    def largest(norms):
+        return float(norms.max()) if norms.size else 0.0
 
     return BatchStats(
-        n_known=known.shape[0],
-        n_pseudo=pseudo.shape[0],
+        n_known=n_known,
+        n_pseudo=n_pseudo,
         num_classes=z_values.shape[1],
-        p_known_norm=max_row_norm(probs_known),
-        y_norm=1.0 if known.shape[0] else 0.0,
-        z_known_norm=max_row_norm(known),
-        p_pseudo_norm=max_row_norm(probs_pseudo),
-        z_pseudo_norm=max_row_norm(pseudo),
-        center_norm=max_row_norm(centers),
+        p_known_norm=largest(p_norms[known]),
+        y_norm=1.0 if n_known else 0.0,
+        z_known_norm=largest(z_norms[known]),
+        p_pseudo_norm=largest(p_norms[is_pseudo]),
+        z_pseudo_norm=largest(z_norms[is_pseudo]),
+        center_norm=largest(_row_norms(centers)),
         min_class_count=int(present.min()) if present.size else 0,
     )
 
@@ -267,8 +271,13 @@ def gradient_bound(config: LossConfig, stats: BatchStats) -> float:
     return float(eps)
 
 
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as `np.linalg.norm(m, axis=1)` computes it."""
+    return np.sqrt((m * m).sum(axis=1))
+
+
 def measured_gradient_norm(z_grad: np.ndarray) -> float:
     """Largest per-row gradient norm, the measured side of the bound."""
     if z_grad.shape[0] == 0:
         return 0.0
-    return float(np.max(np.linalg.norm(z_grad, axis=1)))
+    return float(_row_norms(z_grad).max())

@@ -46,23 +46,26 @@ def generate_pseudo(
     generator state; zeta = g[0] / (g[0] + g[1]) for g = rng.gamma(omega, 1.0, 2).
     """
     labels = batch.labels
-    classes = np.unique(labels).tolist()
+    label_list = labels.tolist()
+    classes = set(label_list)
     if len(classes) < 2:
         raise GenerationError("pseudo generation needs at least 2 distinct classes in the batch")
     b = batch.size
     n_pseudo = math.ceil(config.pseudo_ratio * b)
 
-    # draws stay per sample to keep the stream order; the mixing is one step
-    others = {g: np.flatnonzero(labels != g) for g in classes}
-    first = np.empty(n_pseudo, dtype=np.intp)
-    second = np.empty(n_pseudo, dtype=np.intp)
-    zetas = np.empty((n_pseudo, 1))
-    for k in range(n_pseudo):
-        first[k] = rng.integers(b)
-        pool = others[labels[first[k]].item()]
-        second[k] = pool[rng.integers(pool.size)]
-        g = rng.gamma(config.omega, 1.0, 2)
-        zetas[k] = g[0] / (g[0] + g[1])
+    # draws stay per sample to keep the stream order, read through Python
+    # lists; the mixing is one step
+    others = {g: np.flatnonzero(labels != g).tolist() for g in classes}
+    first, second, zetas = [], [], []
+    for _ in range(n_pseudo):
+        i = rng.integers(b)
+        pool = others[label_list[i]]
+        first.append(i)
+        second.append(pool[rng.integers(len(pool))])
+        g0, g1 = rng.gamma(config.omega, 1.0, 2).tolist()
+        zetas.append(g0 / (g0 + g1))
+    zetas = np.array(zetas).reshape(-1, 1)
+    first, second = np.array(first, dtype=np.intp), np.array(second, dtype=np.intp)
     pseudo_rows = [zetas * x[first] + (1.0 - zetas) * x[second] for x in batch.views]
 
     return Batch(

@@ -140,18 +140,14 @@ def step_preconditioner(params: UnfoldParams, threshold_step_scale: float | None
     return scales
 
 
-def sgd_step(params: UnfoldParams, gradients: dict[str, np.ndarray], eta: float) -> UnfoldParams:
-    """Plain descent step; thresholds are clamped back to >= 0 afterward."""
-    for name, grad in gradients.items():
-        target = params.arrays.get(name)
-        if target is None:
-            raise TrainerError(f"unknown parameter name {name!r}")
-        if target.shape != grad.shape:
-            raise TrainerError(f"gradient shape {grad.shape} mismatches {name} {target.shape}")
-        target -= eta * grad
-    for name, value in params.arrays.items():
-        if name.startswith(("theta/", "rho/")):
-            np.maximum(value, 0.0, out=value)
+def sgd_step(params: UnfoldParams, step: np.ndarray, eta: float) -> UnfoldParams:
+    """Plain descent step on the parameter vector, `flat -= eta * step`;
+    thresholds are clamped back to >= 0 afterward."""
+    if step.shape != params.flat.shape:
+        raise TrainerError(f"step has shape {step.shape}, parameter vector {params.flat.shape}")
+    params.flat -= eta * step
+    thresholds = params.threshold_index
+    params.flat[thresholds] = np.maximum(params.flat[thresholds], 0.0)
     return params
 
 
@@ -197,6 +193,8 @@ def train(
     )
     beta_rng = np.random.default_rng([config.seed, _BETA_STREAM])
     scales = step_preconditioner(params, config.threshold_step_scale)
+    # one scale per entry of the parameter vector
+    preconditioner = np.concatenate([np.full(a.size, scales[n]) for n, a in params.arrays.items()])
 
     centers: np.ndarray | None = None
     ema: np.ndarray | None = None
@@ -248,11 +246,11 @@ def train(
                 )
             margin = min(margin, bound - measured)
 
-            grads = {name: n.grad * scales[name] for name, n in res.param_nodes.items()}
-            sgd_step(params, grads, config.learning_rate)
-            for name, value in params.arrays.items():
-                if not np.isfinite(value).all():
-                    raise TrainerError(f"non-finite {name} after epoch {epoch} batch {b_idx}")
+            grads = np.concatenate([n.grad.ravel() for n in res.param_nodes.values()])
+            sgd_step(params, grads * preconditioner, config.learning_rate)
+            if not np.isfinite(params.flat).all():
+                name = next(n for n, a in params.arrays.items() if not np.isfinite(a).all())
+                raise TrainerError(f"non-finite {name} after epoch {epoch} batch {b_idx}")
             centers = update_centers(
                 centers,
                 res.z_fused.value[known_rows],

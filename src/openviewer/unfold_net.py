@@ -22,6 +22,7 @@ refresh but clamps the noise estimate to zero, so it stores no rho.
 
 from __future__ import annotations
 
+import copy
 import functools
 import logging
 import math
@@ -90,11 +91,23 @@ def _checked(name: str, value, shape: tuple) -> np.ndarray:
     return a
 
 
+def _views(flat: np.ndarray, shapes) -> dict[str, np.ndarray]:
+    """Named views of `flat`, one per (name, shape) of `shapes` in order."""
+    views, start = {}, 0
+    for name, shape in shapes:
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return views
+
+
 @dataclass
 class UnfoldParams:
-    """Learnable parameters, one float64 array per `param_shapes` name,
-    plus the frozen fusion weights. Construction checks the arrays against
-    the layout and keeps them in bind order; updates write in place."""
+    """Learnable parameters in one float64 vector `flat`, in `param_shapes`
+    order, plus the frozen fusion weights. `arrays` holds one named view
+    of `flat` per parameter. Construction checks the arrays against the
+    layout and copies them in; updates write `flat` or a view in place,
+    and a deep copy gets views of its own vector."""
 
     view_dims: list[int]
     num_classes: int
@@ -102,6 +115,7 @@ class UnfoldParams:
     arrays: dict[str, np.ndarray]
     fusion_weights_snapshot: np.ndarray | None = None
     ablation: str = "full"
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_layers < 1:
@@ -122,15 +136,37 @@ class UnfoldParams:
             raise ValueError(
                 f"parameter arrays do not match the layout: missing {missing}, surplus {surplus}"
             )
-        self.arrays = {n: _checked(n, self.arrays[n], shape) for n, shape in shapes.items()}
+        self.flat = np.concatenate(
+            [_checked(n, self.arrays[n], shape).ravel() for n, shape in shapes.items()]
+        )
+        self.arrays = _views(self.flat, shapes.items())
         if self.fusion_weights_snapshot is not None:
             self.fusion_weights_snapshot = _checked(
                 "fusion_weights_snapshot", self.fusion_weights_snapshot, (self.n_views,)
             )
 
+    def __deepcopy__(self, memo):
+        clone = copy.copy(self)
+        clone.view_dims = list(self.view_dims)
+        clone.flat = self.flat.copy()
+        clone.arrays = _views(clone.flat, self.shapes())
+        clone.fusion_weights_snapshot = copy.deepcopy(self.fusion_weights_snapshot, memo)
+        return clone
+
     @property
     def n_views(self) -> int:
         return len(self.view_dims)
+
+    def shapes(self) -> list[tuple[str, tuple]]:
+        """(name, shape) of every parameter, in `flat` order."""
+        return [(n, a.shape) for n, a in self.arrays.items()]
+
+    @functools.cached_property
+    def threshold_index(self) -> np.ndarray:
+        """Positions in `flat` of the theta and rho entries."""
+        sizes = np.array([a.size for a in self.arrays.values()])
+        starts = np.cumsum(sizes) - sizes
+        return starts[[n.startswith(("theta/", "rho/")) for n in self.arrays]]
 
 
 @dataclass
@@ -323,6 +359,27 @@ def _dn_kernel(x, z, d, rho):
     return a * factor, vjp
 
 
+def _group_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted distinct labels, each row's index among them and the rows
+    per label: `np.unique(labels, return_inverse=True, return_counts=True)`
+    for a 1-D int64 array, without its wrapper's cost."""
+    ordered = np.sort(labels)
+    groups = ordered[:1]
+    if ordered.size > 1:
+        groups = np.concatenate((groups, ordered[1:][ordered[1:] != ordered[:-1]]))
+    group_of = np.searchsorted(groups, labels)
+    return groups, group_of, np.bincount(group_of, minlength=groups.size)
+
+
+@functools.cache
+def _pairs(n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(n_groups, k=1)`, read-only and built once per count."""
+    pairs = np.triu_indices(n_groups, k=1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def fusion_weights(z_views: list, labels):
     """Separation-derived view weights (1 x V), differentiable end to end.
 
@@ -335,12 +392,12 @@ def fusion_weights(z_views: list, labels):
     pair in (i, j) order wins and gives the subgradient.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    groups, group_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    groups, group_of, counts = _group_rows(labels)
     if groups.size < 2:
         raise FusionError(f"need >= 2 distinct labels for fusion weights, got {groups.size}")
     averaging = np.zeros((groups.size, labels.size))
     averaging[group_of, np.arange(labels.size)] = 1.0 / counts[group_of]
-    first, second = np.triu_indices(groups.size, k=1)
+    first, second = _pairs(groups.size)
     floor = MIN_CENTROID_DISTANCE**2
 
     def kernel(*codes):
@@ -408,8 +465,8 @@ def _weighted_sum_kernel(w, *codes):
 
 
 def _bind_params(params: UnfoldParams) -> dict[str, tc.DiffNode]:
-    # copies, so the tape keeps its values while sgd_step writes the arrays
-    return {n: tc.DiffNode(a.copy()) for n, a in params.arrays.items()}
+    # one copy of the vector, so the tape keeps its values while sgd_step writes it
+    return {n: tc.DiffNode(a) for n, a in _views(params.flat.copy(), params.shapes()).items()}
 
 
 def forward(

@@ -27,21 +27,40 @@ must give equal rows (with the same Python types) and equal OSCR points.
 
 `update_centers` and `class_means` are the center rules as they were
 written before they used `np.add.at`: one boolean mask per class present.
+
+`generate_pseudo`, `batch_stats` and `fusion_weights_unique` are three
+per-batch steps of training as they were written before the step was made
+cheaper. `generate_pseudo` reads labels and pools through numpy inside its
+draw loop; `batch_stats` takes one softmax and one norm pass for the known
+rows and another for the pseudo rows; `fusion_weights_unique` runs the
+package's fusion op with its former grouping, `np.unique` and a fresh
+`np.triu_indices` on every call. The package's versions must give the same
+bits and leave the generator in the same state.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
 import openviewer.tensor_core as tc
+from openviewer import unfold_net
 from openviewer.admm_oracle import PowerIterationError
 from openviewer.cli import build_gradcheck_scenario
 from openviewer.dataset import Batch
 from openviewer.evaluation import MetricError, OscrCurve
-from openviewer.losses import LossConfig, LossError, _one_hot, total_loss
+from openviewer.losses import (
+    BatchStats,
+    LossConfig,
+    LossError,
+    _one_hot,
+    total_loss,
+)
+from openviewer.pseudo_gen import GenerationError
 from openviewer.unfold_net import (
     MIN_CENTROID_DISTANCE,
     FusionError,
@@ -338,3 +357,71 @@ def run_gradcheck(seed: int = 7, eps: float = 1e-5):
             err_max = max(err_max, abs(analytic - central) / max(1.0, abs(central)))
         per_param[name] = err_max
     return max(per_param.values()), per_param, grad_norms
+
+
+def generate_pseudo(batch: Batch, config, rng: np.random.Generator, unknown_label: int) -> Batch:
+    labels = batch.labels
+    classes = np.unique(labels).tolist()
+    if len(classes) < 2:
+        raise GenerationError("pseudo generation needs at least 2 distinct classes in the batch")
+    b = batch.size
+    n_pseudo = math.ceil(config.pseudo_ratio * b)
+    others = {g: np.flatnonzero(labels != g) for g in classes}
+    first = np.empty(n_pseudo, dtype=np.intp)
+    second = np.empty(n_pseudo, dtype=np.intp)
+    zetas = np.empty((n_pseudo, 1))
+    for k in range(n_pseudo):
+        first[k] = rng.integers(b)
+        pool = others[labels[first[k]].item()]
+        second[k] = pool[rng.integers(pool.size)]
+        g = rng.gamma(config.omega, 1.0, 2)
+        zetas[k] = g[0] / (g[0] + g[1])
+    pseudo_rows = [zetas * x[first] + (1.0 - zetas) * x[second] for x in batch.views]
+    return Batch(
+        views=[np.vstack([v, rows]) for v, rows in zip(batch.views, pseudo_rows)],
+        labels=np.concatenate([labels, np.full(n_pseudo, unknown_label, dtype=np.int64)]),
+        is_pseudo=np.concatenate([batch.is_pseudo, np.ones(n_pseudo, dtype=bool)]),
+    )
+
+
+def batch_stats(z_values: np.ndarray, labels, is_pseudo, centers: np.ndarray) -> BatchStats:
+    labels = np.asarray(labels, dtype=np.int64)
+    is_pseudo = np.asarray(is_pseudo, dtype=bool)
+    known = z_values[~is_pseudo]
+    pseudo = z_values[is_pseudo]
+    known_labels = labels[~is_pseudo]
+    counts = np.bincount(known_labels, minlength=centers.shape[0])
+    present = counts[counts > 0]
+
+    def softmax(mat):
+        if not mat.size:
+            return np.zeros((0, z_values.shape[1]))
+        expv = np.exp(mat - mat.max(axis=1, keepdims=True))
+        return expv / expv.sum(axis=1, keepdims=True)
+
+    def max_row_norm(mat):
+        if mat.shape[0] == 0:
+            return 0.0
+        return float(np.max(np.linalg.norm(mat, axis=1)))
+
+    return BatchStats(
+        n_known=known.shape[0],
+        n_pseudo=pseudo.shape[0],
+        num_classes=z_values.shape[1],
+        p_known_norm=max_row_norm(softmax(known)),
+        y_norm=1.0 if known.shape[0] else 0.0,
+        z_known_norm=max_row_norm(known),
+        p_pseudo_norm=max_row_norm(softmax(pseudo)),
+        z_pseudo_norm=max_row_norm(pseudo),
+        center_norm=max_row_norm(centers),
+        min_class_count=int(present.min()) if present.size else 0,
+    )
+
+
+def fusion_weights_unique(z_views, labels):
+    with mock.patch.multiple(
+        unfold_net,
+        _group_rows=lambda lab: np.unique(lab, return_inverse=True, return_counts=True),
+        _pairs=lambda n: np.triu_indices(n, k=1),
+    ):
+        return unfold_net.fusion_weights(z_views, labels)

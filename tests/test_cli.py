@@ -330,6 +330,15 @@ class TestPipeline:
         flagged = openness_split(dataset, 0.4, (0.3, 0.2, 0.5), 9)
         assert out.read_text() == flagged.to_json()
 
+    @pytest.mark.parametrize("ratios", ["1.5,-0.5,0", "nan,0.1,0.8"])
+    def test_ratio_outside_unit_interval_fails(self, workspace, caplog, ratios):
+        tmp_path, _, data_dir = workspace
+        out = tmp_path / "bad_split.json"
+        assert main(["split", "--manifest", str(data_dir / "manifest.json"), "--ratios", ratios,
+                     "--out", str(out), "--quiet"]) == 2
+        assert "SplitError: ratios must be finite and lie in [0, 1], got (" in caplog.text
+        assert not out.exists()
+
     def test_train_then_eval(self, workspace):
         tmp_path, cfg, data_dir = workspace
         run = tmp_path / "run"

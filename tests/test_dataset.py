@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,14 @@ class TestOpennessSplit:
     def test_ratios_must_sum_to_one(self):
         with pytest.raises(SplitError):
             openness_split(tiny_dataset(), 0.1, (0.5, 0.5, 0.5), seed=0)
+
+    @pytest.mark.parametrize("ratios", [(1.5, -0.5, 0.0), (float("nan"), 0.1, 0.8),
+                                        (float("inf"), 0.1, 0.8), (0.5, 0.5, -1e-12)])
+    def test_ratio_outside_unit_interval_refused(self, ratios):
+        # each passes the sum check: nan compares false, the others sum to 1 within 1e-9
+        with pytest.raises(SplitError, match=re.escape(f"ratios must be finite and lie in "
+                                                       f"[0, 1], got {ratios}")):
+            openness_split(tiny_dataset(), 0.1, ratios, seed=0)
 
     def test_split_json_roundtrip(self):
         data = tiny_dataset(classes=5, n_per_class=6)

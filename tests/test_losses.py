@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -314,6 +315,34 @@ class TestGradientBound:
             LossConfig(center_lr=0.0)
         with pytest.raises(LossError):
             LossConfig(lambda1=-0.1)
+
+
+def hexed(stats) -> dict:
+    """Every field of a `BatchStats` with its type; floats by `float.hex`."""
+    return {k: (type(v), v.hex() if isinstance(v, float) else v)
+            for k, v in dataclasses.asdict(stats).items()}
+
+
+class TestBatchStatsOnePass:
+    def test_matches_two_softmax_reference(self):
+        """One softmax and one norm pass over the batch, split afterward, give
+        the bits of the former per-subset passes (`ref.batch_stats`)."""
+        rng = np.random.default_rng(50)
+        for case in range(3000):
+            c = int(rng.integers(1, 7))
+            n_known, n_pseudo = (int(k) for k in rng.integers(0, 8, size=2))
+            n = n_known + n_pseudo
+            z = rng.normal(size=(n, c)) * rng.uniform(0.01, 50.0)
+            centers = rng.normal(size=(c, c))
+            if case % 3 == 1:
+                z, centers = np.zeros_like(z), np.zeros_like(centers)
+            elif case % 3 == 2:
+                mask = rng.random(z.shape) < 0.5
+                z[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+            is_pseudo = rng.permutation(np.repeat([False, True], [n_known, n_pseudo]))
+            labels = np.where(is_pseudo, c, rng.integers(0, c, size=n))
+            assert hexed(batch_stats(z, labels, is_pseudo, centers)) == hexed(
+                ref.batch_stats(z, labels, is_pseudo, centers)), case
 
 
 def same_bits(a, b) -> bool:

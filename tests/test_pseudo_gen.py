@@ -13,6 +13,8 @@ from openviewer.pseudo_gen import (
     generate_pseudo,
 )
 
+import fine_reference as ref
+
 
 class _StubRng:
     """Replays scripted integer and gamma draws for exact endpoint tests."""
@@ -61,6 +63,41 @@ def mixed_first_entries(omega: float, seed: int, n: int = 100_000) -> np.ndarray
                   is_pseudo=np.zeros(n, dtype=bool))
     out = generate_pseudo(batch, MixConfig(omega=omega), np.random.default_rng(seed), 2)
     return out.views[0][n:, 0]
+
+
+class TestMatchesFormerDrawLoop:
+    def test_random_batches_bitwise(self):
+        """The list-based draw loop gives the rows, labels and generator end
+        state of the former numpy-indexed loop (`ref.generate_pseudo`)."""
+        rng = np.random.default_rng(60)
+        refused = 0
+        for case in range(2000):
+            # sparse and negative ids, classes of one row, zero and signed-zero rows
+            ids = rng.choice(np.arange(-4, 25), size=int(rng.integers(1, 6)), replace=False)
+            labels = ids[rng.integers(ids.size, size=int(rng.integers(1, 20)))]
+            views = [rng.normal(size=(labels.size, int(d))) for d in rng.integers(1, 5, size=2)]
+            if case % 3 == 1:
+                views[0][:] = 0.0
+            elif case % 3 == 2:
+                views[1][rng.random(views[1].shape) < 0.5] = -0.0
+            batch = Batch(views=views, labels=labels, is_pseudo=np.zeros(labels.size, bool))
+            cfg = MixConfig(omega=float(rng.uniform(0.2, 5.0)),
+                            pseudo_ratio=float(rng.uniform(0.05, 1.0)))
+            seed = int(rng.integers(2**32))
+            gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            try:
+                expected = ref.generate_pseudo(batch, cfg, twin, 99)
+            except GenerationError:
+                with pytest.raises(GenerationError):
+                    generate_pseudo(batch, cfg, gen, 99)
+                refused += 1
+            else:
+                out = generate_pseudo(batch, cfg, gen, 99)
+                for got, want in zip(out.views + [out.labels, out.is_pseudo],
+                                     expected.views + [expected.labels, expected.is_pseudo]):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
+            assert gen.bit_generator.state == twin.bit_generator.state, case
+        assert 0 < refused < 1000
 
 
 class TestZetaLaw:

@@ -1,4 +1,6 @@
+import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +259,63 @@ class TestFusionMinimumPair:
             return next(tc._NODE_COUNTER) - start
 
         assert nodes_created(3) == nodes_created(12)
+
+
+def signed_zeros(a, rng):
+    """`a` with about half its entries set to 0.0 or -0.0."""
+    a = a.copy()
+    mask = rng.random(a.shape) < 0.5
+    a[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+    return a
+
+
+class TestFusionGrouping:
+    """The sort-and-search grouping and the cached pair table give the bits
+    of the former `np.unique` / `np.triu_indices` grouping."""
+
+    def test_grouping_matches_unique(self):
+        rng = np.random.default_rng(40)
+        for n in [0, 1, 2, 5, 30] * 20:
+            labels = rng.integers(-5, 6, size=n)
+            ours = unfold_net._group_rows(labels)
+            theirs = np.unique(labels, return_inverse=True, return_counts=True)
+            for a, b in zip(ours, theirs):
+                assert a.dtype == b.dtype and same_bits(a, b)
+
+    def test_pair_table_cached_and_read_only(self):
+        first, second = unfold_net._pairs(6)
+        assert unfold_net._pairs(6)[0] is first
+        assert not first.flags.writeable and not second.flags.writeable
+        expected = np.triu_indices(6, k=1)
+        assert same_bits(first, expected[0]) and same_bits(second, expected[1])
+
+    def test_random_cases_bitwise(self):
+        rng = np.random.default_rng(41)
+        refused = 0
+        for case in range(3000):
+            # sparse and negative ids, groups of one row, all-zero and signed-zero codes
+            ids = rng.choice(np.arange(-6, 30), size=int(rng.integers(1, 7)), replace=False)
+            labels = ids[rng.integers(ids.size, size=int(rng.integers(1, 16)))]
+            shape = (labels.size, int(rng.integers(1, 5)))
+            codes = [rng.normal(size=shape), rng.normal(size=shape)]
+            if case % 3 == 1:
+                codes = [np.zeros_like(codes[0]), codes[1] * 3.0]
+            elif case % 3 == 2:
+                codes = [signed_zeros(z, rng) for z in codes]
+            probe = rng.normal(size=(1, 2))
+            try:
+                w_ref, grads_ref = fusion_value_and_grads(ref.fusion_weights_unique, codes,
+                                                          labels, probe)
+            except FusionError as exc:
+                with pytest.raises(FusionError, match=re.escape(str(exc))):
+                    fusion_weights([tc.leaf(z) for z in codes], labels)
+                refused += 1
+                continue
+            w, grads = fusion_value_and_grads(fusion_weights, codes, labels, probe)
+            assert same_bits(w, w_ref), case
+            for g, g_ref in zip(grads, grads_ref):
+                assert same_bits(g, g_ref), case
+        assert 0 < refused < 1000
 
 
 class TestFusionWeights:
@@ -528,14 +587,35 @@ class TestNamedParams:
 
     def test_writes_reach_the_parameter_set(self):
         params = init_params([9, 7], 4, seed=3, num_layers=2)
-        # float64 arrays are kept, not copied, so in-place updates reach the net
+        # construction copies the arrays into the set's own vector, in bind order
         again = UnfoldParams([9, 7], 4, 2, dict(params.arrays))
-        assert all(again.arrays[n] is a for n, a in params.arrays.items())
-        params.arrays["theta/1/0"][0, 0] = 0.25
-        params.arrays["r/1/1"][2, 3] = 7.0
+        assert not np.shares_memory(again.flat, params.flat)
+        assert same_bits(again.flat, np.concatenate([a.ravel() for a in params.arrays.values()]))
+        # writes through `arrays` reach `flat` and the next bind
+        again.arrays["theta/1/0"][0, 0] = 0.25
+        again.arrays["r/1/1"][2, 3] = 7.0
+        assert 0.25 in again.flat and 7.0 in again.flat
+        assert params.arrays["theta/1/0"][0, 0] != 0.25
         bound = unfold_net._bind_params(again)
         assert bound["theta/1/0"].item() == 0.25
         assert bound["r/1/1"].value[2, 3] == 7.0
+        # the bound values are a copy: a later write leaves the tape as it was
+        again.flat[:] = 0.0
+        assert bound["theta/1/0"].item() == 0.25
+
+    def test_deep_copy_views_its_own_vector(self):
+        params = init_params([9, 7], 4, seed=3, num_layers=2)
+        params.fusion_weights_snapshot = np.array([0.4, 0.6])
+        clone = copy.deepcopy(params)
+        assert same_bits(clone.flat, params.flat)
+        assert not np.shares_memory(clone.flat, params.flat)
+        for name, a in clone.arrays.items():
+            assert np.shares_memory(a, clone.flat), name
+            assert same_bits(a, params.arrays[name]), name
+        assert not np.shares_memory(clone.fusion_weights_snapshot, params.fusion_weights_snapshot)
+        clone.arrays["u/0/1"][0, 0] += 1.0
+        assert np.count_nonzero(clone.flat != params.flat) == 1
+        assert unfold_net._bind_params(clone)["u/0/1"].value[0, 0] == params.arrays["u/0/1"][0, 0] + 1.0
 
     def test_forward_reads_exactly_the_layout(self, monkeypatch):
         reads = []
