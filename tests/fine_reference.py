@@ -9,10 +9,9 @@ same way, to check the gradient accumulation order across modules.
 
 `power_iteration_norm` is the solver's power iteration as it was written
 before it carried the matrix-vector product from one step to the next:
-two products per step and `np.linalg.norm`. Given `start`, it runs the
-same loop from there and writes its final `vec` back into `start` on
-every exit. The package's one-product loop must return the same bits,
-raise the same errors and leave the same bits in `start`.
+two products per step and `np.linalg.norm`, always from the fixed
+seed-12345 vector. The package's one-product loop must return the same
+bits and raise the same errors.
 
 `run_gradcheck` is the CLI's gradient audit as it was written before it
 shared `tc.central_difference_error`: two deep copies of the whole
@@ -76,39 +75,31 @@ from openviewer.unfold_net import forward as package_forward
 import fine_ops as fo
 
 
-def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 1000,
-                         start: np.ndarray | None = None) -> float:
+def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> float:
     n = mat.shape[0]
     if mat.shape != (n, n):
         raise ValueError(f"power iteration needs a square matrix, got {mat.shape}")
-    if start is None:
-        rng = np.random.default_rng(12345)
-        vec = rng.normal(size=n)
-        vec /= np.linalg.norm(vec)
-    else:
-        vec = start.copy()
+    rng = np.random.default_rng(12345)
+    vec = rng.normal(size=n)
+    vec /= np.linalg.norm(vec)
     lam = 0.0
     change = np.inf
-    try:
-        for _ in range(max_iter):
-            nxt = mat @ vec
-            norm = np.linalg.norm(nxt)
-            if norm == 0.0:
-                return 0.0
-            vec = nxt / norm
-            lam_new = float(vec @ (mat @ vec))
-            change = abs(lam_new - lam) / max(1.0, abs(lam_new))
-            if change <= tol:
-                return lam_new
-            lam = lam_new
-        if change <= 1e-5:
-            return lam
-        raise PowerIterationError(
-            f"power iteration did not converge in {max_iter} iterations (last change {change:.3e})"
-        )
-    finally:
-        if start is not None:
-            start[:] = vec
+    for _ in range(max_iter):
+        nxt = mat @ vec
+        norm = np.linalg.norm(nxt)
+        if norm == 0.0:
+            return 0.0
+        vec = nxt / norm
+        lam_new = float(vec @ (mat @ vec))
+        change = abs(lam_new - lam) / max(1.0, abs(lam_new))
+        if change <= tol:
+            return lam_new
+        lam = lam_new
+    if change <= 1e-5:
+        return lam
+    raise PowerIterationError(
+        f"power iteration did not converge in {max_iter} iterations (last change {change:.3e})"
+    )
 
 
 def rf_forward(z_prev, x, e_prev, d_prev, r, u, theta) -> tc.DiffNode:

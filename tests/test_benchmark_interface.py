@@ -3,11 +3,14 @@
 `perfbench/tracing.py` wraps package functions at the (module, attribute)
 sites listed in its `LAYERS` and reads `tensor_core._NODE_COUNTER`. A
 refactor that renames or deletes one of them would fail only the traced
-benchmark run; these tests load the tracer as it is and fail first.
+benchmark run; these tests load the tracer as it is and fail first. The
+traced run also fails when a wrapped function records no calls, so one
+small oracle solve runs under the tracer here too.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -48,3 +51,25 @@ def test_node_counter_reads_an_int(tracing):
     assert tracing.node_counter() == first  # reading does not consume a number
     tc.leaf([[1.0]])
     assert tracing.node_counter() == first + 1
+
+
+def test_oracle_run_calls_every_oracle_layer(tracing, tmp_path):
+    from openviewer import cli
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "synth": {"classes": 4, "samples_per_class": 10, "views": 2, "dims": [8, 6],
+                  "sep_scale": 1.0, "noise_col_frac": 0.2, "noise_magnitude": 0.5,
+                  "jitter": 0.08, "seed": 3},
+        "oracle": {"max_iter": 3},
+    }))
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", str(config), "--out", str(data), "--quiet"]) == 0
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert cli.main(["oracle", "--config", str(config), "--manifest",
+                         str(data / "manifest.json"), "--out", str(tmp_path / "oracle"),
+                         "--quiet"]) == 0
+    oracle_layers = [layer.name for layer in tracing.LAYERS if tracing.ORACLE in layer.workloads]
+    assert "admm_oracle.power_iteration_norm" in oracle_layers
+    assert [name for name in oracle_layers if tracer.calls[name] == 0] == []
