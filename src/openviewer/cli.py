@@ -343,7 +343,7 @@ def _cmd_gradcheck(args, configs):
 
 
 def _cmd_diag(args, configs):
-    from .evaluation import contraction_diagnostic, scaling_benchmark
+    from .evaluation import contraction_diagnostic
     from .losses import LossConfig, batch_stats, gradient_bound, measured_gradient_norm, total_loss
     from .unfold_net import forward, init_params
     from . import tensor_core as tc
@@ -368,12 +368,6 @@ def _cmd_diag(args, configs):
         "bound": bound,
         "measured": measured,
         "holds": bool(measured <= bound),
-    }
-
-    bench = scaling_benchmark(seed=seed)
-    report["scaling"] = {
-        "rows": [{"n": r.n, "seconds": r.seconds} for r in bench["rows"]],
-        "ratios": bench["ratios"],
     }
 
     ok = contraction.passed and measured <= bound
@@ -435,12 +429,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     common(p, out_required=False)
 
-    p = sub.add_parser("diag", help="contraction, bound, and scaling diagnostics")
+    p = sub.add_parser("diag", help="contraction and gradient-bound diagnostics")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--quiet", action="store_true")
+    p.add_argument("--out", default=None, help="output directory")
+    common(p, out_required=False)
 
     return parser
 

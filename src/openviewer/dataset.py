@@ -152,12 +152,19 @@ def load(manifest_path) -> MultiViewDataset:
         raise DatasetError(f"cannot read manifest {manifest_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"manifest {manifest_path} must hold a JSON object")
     for key in ("views", "labels"):
         if key not in manifest:
             raise DatasetError(f"manifest {manifest_path} is missing '{key}'")
+    names = manifest["views"]
+    if not (isinstance(names, list) and names and all(isinstance(p, str) for p in names)):
+        raise DatasetError(f"manifest {manifest_path}: 'views' must be a non-empty list of strings")
+    if not isinstance(manifest["labels"], str):
+        raise DatasetError(f"manifest {manifest_path}: 'labels' must be a string")
 
     base = manifest_path.parent
-    views = [_read_csv_matrix(base / p) for p in manifest["views"]]
+    views = [_read_csv_matrix(base / p) for p in names]
     label_path = base / manifest["labels"]
     try:
         labels = np.loadtxt(label_path, dtype=np.int64, ndmin=1)
@@ -167,7 +174,7 @@ def load(manifest_path) -> MultiViewDataset:
         raise DatasetError(f"malformed label file {label_path}: {exc}") from exc
 
     n = views[0].shape[0]
-    for rel, v in zip(manifest["views"], views):
+    for rel, v in zip(names, views):
         if v.shape[0] != n:
             raise DatasetError(f"view file {base / rel} has {v.shape[0]} rows, expected {n}")
     if labels.shape[0] != n:

@@ -3,15 +3,12 @@
 Scoring runs the trained network in inference mode over the test split;
 the OSCR curve sweeps a confidence threshold and reports, per threshold,
 the correct-classification rate on known-class samples against the
-false-positive rate on unknown-class samples. Diagnostics cover the
-contraction property of the code-update map and the wall-clock scaling of
-a forward/backward pass.
+false-positive rate on unknown-class samples. The diagnostic covers the
+contraction property of the code-update map.
 """
 
 from __future__ import annotations
 
-import gc
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -22,7 +19,6 @@ import numpy as np
 
 from . import tensor_core as tc
 from .dataset import Batch, MultiViewDataset, OpennessSplit, checked_indices, zscore
-from .losses import LossConfig, total_loss
 from .unfold_net import UnfoldParams, forward, predict, rf_forward
 from .admm_oracle import power_iteration_norm
 
@@ -219,54 +215,3 @@ def contraction_diagnostic(
         trials=trials,
         passed=passed,
     )
-
-
-@dataclass
-class ScalingRow:
-    n: int
-    seconds: float
-
-
-def _forward_backward_seconds(params: UnfoldParams, n: int, seed: int, repeats: int = 5) -> float:
-    rng = np.random.default_rng(seed)
-    views = [rng.normal(size=(n, d)) for d in params.view_dims]
-    labels = rng.integers(0, params.num_classes, size=n)
-    batch = Batch(views=views, labels=labels, is_pseudo=np.zeros(n, dtype=bool))
-    centers = np.zeros((params.num_classes, params.num_classes))
-    times = []
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(repeats + 1):
-            t0 = time.perf_counter()
-            res = forward(batch, params, labels_for_fusion=labels)
-            tc.backward(total_loss(res.z_fused, labels, batch.is_pseudo, centers, LossConfig())[0])
-            times.append(time.perf_counter() - t0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    # min over repeats after a warmup run: the least load-sensitive estimate
-    return float(min(times[1:]))
-
-
-def scaling_benchmark(
-    n_grid=(512, 1024, 2048),
-    num_classes: int = 6,
-    view_dims=(16, 12),
-    num_layers: int = 1,
-    seed: int = 0,
-    repeats: int = 5,
-) -> dict:
-    """Wall time of forward+backward per batch size, plus doubling ratios.
-    The net is initialised for the largest size, so deep nets stay finite."""
-    from .unfold_net import init_params
-
-    params = init_params(list(view_dims), num_classes, seed=seed, num_layers=num_layers,
-                         expected_rows=max(n_grid))
-    rows = [ScalingRow(n=n, seconds=_forward_backward_seconds(params, n, seed, repeats))
-            for n in n_grid]
-    ratios = {
-        f"{a.n}->{b.n}": b.seconds / a.seconds for a, b in zip(rows, rows[1:])
-    }
-    return {"rows": rows, "ratios": ratios}

@@ -13,7 +13,7 @@ from openviewer import evaluation as ev
 from openviewer import synthgen, trainer
 from openviewer.cli import main as cli_main, run_gradcheck
 from openviewer.dataset import Batch
-from openviewer.evaluation import contraction_diagnostic, scaling_benchmark
+from openviewer.evaluation import contraction_diagnostic
 from openviewer.unfold_net import forward, init_params
 
 from helpers import (
@@ -23,6 +23,7 @@ from helpers import (
     make_openset_benchmark,
 )
 from test_evaluation import brute_force_curve, random_predictions
+from timing import forward_backward_seconds
 
 FIXTURE_DIR = __file__.rsplit("/", 1)[0] + "/fixtures"
 
@@ -237,8 +238,9 @@ def test_criterion_8_metric_correctness():
 
 
 def test_criterion_9_complexity_scaling():
-    out = scaling_benchmark(n_grid=(512, 1024, 2048), repeats=7, seed=5)
-    ratios = out["ratios"]
+    grid = (512, 1024, 2048)
+    seconds = forward_backward_seconds(grid, repeats=7, seed=5)
+    ratios = {f"{a}->{b}": tb / ta for a, b, ta, tb in zip(grid, grid[1:], seconds, seconds[1:])}
     ok = all(r <= 2.6 for r in ratios.values())
     report(9, "complexity scaling", ok,
            "(" + ", ".join(f"{k}: {v:.2f}" for k, v in ratios.items()) + ")")

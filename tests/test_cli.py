@@ -595,4 +595,9 @@ class TestDiagCommand:
         report = json.loads((tmp_path / "diag.json").read_text())
         assert report["contraction"]["passed"]
         assert report["gradient_bound"]["holds"]
-        assert "512->1024" in report["scaling"]["ratios"]
+        assert set(report) == {"version", "contraction", "gradient_bound"}
+
+    def test_rerun_writes_same_bytes(self, tmp_path):
+        for out in ("a", "b"):
+            assert main(["diag", "--trials", "50", "--out", str(tmp_path / out), "--quiet"]) == 0
+        assert (tmp_path / "a/diag.json").read_bytes() == (tmp_path / "b/diag.json").read_bytes()

@@ -79,6 +79,19 @@ class TestConstruction:
         with pytest.raises(DatasetError, match="missing.csv"):
             load(manifest)
 
+    @pytest.mark.parametrize("manifest, field", [
+        ([{"views": ["v.csv"], "labels": "l.csv"}], "JSON object"),
+        ("v.csv", "JSON object"),
+        ({"views": [], "labels": "l.csv"}, "'views'"),
+        ({"views": "v.csv", "labels": "l.csv"}, "'views'"),
+        ({"views": ["v.csv"], "labels": ["l.csv"]}, "'labels'"),
+    ], ids=["list", "string", "no_views", "views_string", "labels_list"])
+    def test_malformed_manifest_names_path_and_field(self, tmp_path, manifest, field):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match=re.escape(f"manifest {path}") + ".*" + field):
+            load(path)
+
     def test_class_with_single_sample_rejected(self):
         with pytest.raises(DatasetError, match="fewer than 2"):
             MultiViewDataset(views=[np.zeros((3, 2))], labels=[0, 0, 1], class_count=2)

@@ -11,7 +11,6 @@ from openviewer.evaluation import (
     ccr_at_fpr,
     contraction_diagnostic,
     oscr_curve,
-    scaling_benchmark,
     score_test_set,
     score_with_codes,
     summary,
@@ -24,6 +23,7 @@ from openviewer.unfold_net import forward, init_params
 
 import fine_reference as ref
 from helpers import batch_from_dataset, small_spec
+from timing import forward_backward_seconds
 
 
 def pred(conf, truth_unknown, correct=True, idx=0):
@@ -423,17 +423,10 @@ class TestContractionDiagnostic:
 
 
 class TestScalingBenchmark:
-    def test_structure_and_ratios(self):
-        out = scaling_benchmark(n_grid=(64, 128), repeats=2)
-        assert [r.n for r in out["rows"]] == [64, 128]
-        assert set(out["ratios"]) == {"64->128"}
-        assert all(r.seconds > 0 for r in out["rows"])
-
     def test_timing_roughly_monotone_in_n(self):
-        out = scaling_benchmark(n_grid=(512, 2048), repeats=5)
-        a, b = out["rows"]
+        a, b = forward_backward_seconds((512, 2048), repeats=5)
         # linear-time forward: bigger batches never get meaningfully faster
-        assert b.seconds >= 0.8 * a.seconds
+        assert b >= 0.8 * a
 
     def test_doubling_layers_at_most_doubles_ish(self):
         # The time 4 layers add to a 1-layer net against the time 2 layers
@@ -444,7 +437,7 @@ class TestScalingBenchmark:
         ratios = []
         for _ in range(5):
             base, three, five = (
-                scaling_benchmark(n_grid=(1024,), num_layers=layers, repeats=10)["rows"][0].seconds
+                forward_backward_seconds((1024,), num_layers=layers, repeats=10)[0]
                 for layers in (1, 3, 5))
             ratios.append((five - base) / (three - base))
         assert float(np.median(ratios)) <= 2.6, ratios
