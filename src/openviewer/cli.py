@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 import time
 import typing
@@ -52,7 +53,8 @@ def _reject_unknown(data: dict, known, where: str) -> None:
 
 def _fits(hint, value) -> bool:
     """Whether a JSON value has a config field's type: a bool is no number, an int is a float,
-    and a list is a tuple of the hint's length, or of any length if the hint ends in `...`."""
+    a float is finite, and a list is a tuple of the hint's length, or of any length if the
+    hint ends in `...`."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
         seq = isinstance(value, (list, tuple))
@@ -61,7 +63,12 @@ def _fits(hint, value) -> bool:
     if args:  # X | None
         return any(_fits(arg, value) for arg in args)
     kinds = (int, float) if hint is float else hint
-    return isinstance(value, kinds) and (hint is bool or not isinstance(value, bool))
+    if not isinstance(value, kinds) or (hint is not bool and isinstance(value, bool)):
+        return False
+    try:
+        return hint is not float or math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _dataclass_from_dict(cls, data: dict, where: str):
@@ -289,12 +296,11 @@ def build_gradcheck_scenario(seed: int):
     labels = np.arange(10) % c
     views = [rng.normal(size=(10, d)) for d in dims]
     batch = Batch(views=views, labels=labels, is_pseudo=np.zeros(10, dtype=bool))
-    combined = generate_pseudo(
-        batch, MixConfig(omega=2.0, pseudo_ratio=0.5), np.random.default_rng([seed, 901]), c
-    )
+    mix = MixConfig(omega=2.0, pseudo_ratio=0.5)
+    combined = generate_pseudo(batch, mix, np.random.default_rng([seed, 901]), c)
     params = init_params(
         dims, c, AdmmConfig(alpha=0.05, beta=0.1, gamma=0.5),
-        seed=[seed, 902], num_layers=2, expected_rows=15,
+        seed=[seed, 902], num_layers=2, expected_rows=batch.size + mix.pseudo_rows(batch.size),
     )
     return combined, params
 

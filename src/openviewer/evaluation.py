@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from .dataset import Batch, MultiViewDataset, OpennessSplit, checked_indices, zscore
-from .unfold_net import UnfoldParams, forward, predict, rf_forward
+from .unfold_net import UnfoldParams, forward, param_key, predict, rf_forward
 from .admm_oracle import power_iteration_norm
 
 
@@ -189,8 +189,8 @@ def contraction_diagnostic(
     if params.num_layers < 2:
         raise MetricError("layer 0 has no R: the contraction diagnostic needs >= 2 layers")
     rng = np.random.default_rng(seed)
-    d, r, u, theta = (params.arrays[f"{prefix}/{view}"]
-                      for prefix in ("d_init", "r/1", "u/1", "theta/1"))
+    d = params.arrays[param_key("d_init", view)]
+    r, u, theta = (params.arrays[param_key(kind, 1, view)] for kind in ("r", "u", "theta"))
     norm_r = float(np.sqrt(power_iteration_norm(r.T @ r)))
     c = params.num_classes
     n = 16

@@ -34,11 +34,15 @@ class MixConfig:
         if not 0.0 < self.pseudo_ratio <= 1.0:
             raise ParameterError(f"pseudo_ratio must lie in (0, 1], got {self.pseudo_ratio}")
 
+    def pseudo_rows(self, batch_rows: int) -> int:
+        """The pseudo rows mixed into a batch of `batch_rows`: pseudo_ratio of it, rounded up."""
+        return math.ceil(self.pseudo_ratio * batch_rows)
+
 
 def generate_pseudo(
     batch: Batch, config: MixConfig, rng: np.random.Generator, unknown_label: int
 ) -> Batch:
-    """Append ceil(pseudo_ratio * B) mixed rows per view to the batch.
+    """Append `config.pseudo_rows(B)` mixed rows per view to the batch.
 
     Source pairs always carry different labels; pseudo rows get
     `unknown_label` and raised is_pseudo flags. Draw order per pseudo
@@ -51,7 +55,7 @@ def generate_pseudo(
     if len(classes) < 2:
         raise GenerationError("pseudo generation needs at least 2 distinct classes in the batch")
     b = batch.size
-    n_pseudo = math.ceil(config.pseudo_ratio * b)
+    n_pseudo = config.pseudo_rows(b)
 
     # draws stay per sample to keep the stream order, read through Python
     # lists; the mixing is one step

@@ -9,7 +9,6 @@ so a completed run certifies the bound held throughout.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -114,29 +113,27 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
-def step_preconditioner(params: UnfoldParams, threshold_step_scale: float | None = None) -> dict[str, float]:
-    """Constant per-parameter step scaling fixed at initialization.
+def step_preconditioner(params: UnfoldParams, threshold_step_scale: float | None = None) -> np.ndarray:
+    """One constant step scale per entry of `params.flat`, fixed at initialization.
 
     The parameter kinds live on very different natural scales (the
     dictionary-refresh matrix is ~1/(beta + batch rows) while the code-mix
     matrices are ~1), so a single global learning rate cannot serve all of
-    them: scaling each kind's step by the square of its initial magnitude
-    is equivalent to running plain descent on unit-scale reparameterized
-    variables. Thresholds default to the same rule; pass
+    them: scaling the steps of each u and m by the square of its first
+    entry (and the rest by 1) is equivalent to running plain descent on
+    unit-scale reparameterized variables. The thresholds, at
+    `params.threshold_index`, default to the same rule; pass
     `threshold_step_scale` to let them travel across their operating range.
     """
-    scales: dict[str, float] = {}
-    for name, value in params.arrays.items():
-        if name.startswith(("theta/", "rho/")):
-            scales[name] = (
-                threshold_step_scale
-                if threshold_step_scale is not None
-                else max(float(value[0, 0]), 1e-3) ** 2
-            )
-        elif name.startswith(("u/", "m/")):
-            scales[name] = float(value[0, 0]) ** 2
-        else:
-            scales[name] = 1.0
+    scales = np.concatenate([
+        np.full(a.size, float(a[0, 0]) ** 2 if name.startswith(("u/", "m/")) else 1.0)
+        for name, a in params.arrays.items()
+    ])
+    thresholds = params.threshold_index
+    scales[thresholds] = [
+        max(t, 1e-3) ** 2 if threshold_step_scale is None else threshold_step_scale
+        for t in params.flat[thresholds].tolist()
+    ]
     return scales
 
 
@@ -179,9 +176,7 @@ def train(
 
     work = replace(dataset, views=zscore(dataset, rows)) if config.normalize else dataset
 
-    expected_rows = config.batch_size + math.ceil(
-        config.mix.pseudo_ratio * config.batch_size
-    )
+    expected_rows = config.batch_size + config.mix.pseudo_rows(config.batch_size)
     params = init_params(
         work.view_dims,
         num_classes,
@@ -192,9 +187,7 @@ def train(
         expected_rows=expected_rows,
     )
     beta_rng = np.random.default_rng([config.seed, _BETA_STREAM])
-    scales = step_preconditioner(params, config.threshold_step_scale)
-    # one scale per entry of the parameter vector
-    preconditioner = np.concatenate([np.full(a.size, scales[n]) for n, a in params.arrays.items()])
+    preconditioner = step_preconditioner(params, config.threshold_step_scale)
 
     centers: np.ndarray | None = None
     ema: np.ndarray | None = None
@@ -261,19 +254,13 @@ def train(
             for key in sums:
                 sums[key] += parts[key]
 
-        n_batches = max(len(batches), 1)
-        log.epochs.append(
-            EpochStats(
-                epoch=epoch,
-                total=sums["total"] / n_batches,
-                known=sums["known"] / n_batches,
-                unknown=sums["unknown"] / n_batches,
-                center=sums["center"] / n_batches,
-                fusion_ema=[float(w) for w in ema],
-                bound_margin=float(margin),
-                wall_time=time.perf_counter() - t0,
-            )
-        )
+        log.epochs.append(EpochStats(
+            epoch=epoch,
+            **{key: total / len(batches) for key, total in sums.items()},
+            fusion_ema=[float(w) for w in ema],
+            bound_margin=float(margin),
+            wall_time=time.perf_counter() - t0,
+        ))
 
     params.fusion_weights_snapshot = ema / ema.sum()
     return params, centers, log
@@ -322,4 +309,10 @@ def load_checkpoint(path) -> tuple[UnfoldParams, np.ndarray, dict]:
         raise CheckpointError(f"checkpoint {path} is missing fields: {exc}") from exc
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CheckpointError(f"checkpoint {path}: config must be an object, got "
+                              f"{type(config).__name__}")
+    if not isinstance(config.get("normalize", True), bool):
+        raise CheckpointError(f"checkpoint {path}: config.normalize must be a bool, got "
+                              f"{config['normalize']!r}")
     return params, centers, config

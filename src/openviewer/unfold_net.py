@@ -13,7 +13,9 @@ free parameters.
 A network stores and runs only what reaches the fused code: layer 0
 starts from Z = 0, so it has no R, and the last layer runs RF only, as
 nothing reads a D or E it would refresh. `param_shapes` is the one
-statement of which layer stores which parameter.
+statement of which layer and view stores which parameter, and the
+stored parameters decide what runs: a (layer, view) runs the Z R term,
+CD and DN exactly when it holds an r, m and rho.
 
 Ablation modes: "no_cd_dn" freezes the dictionaries and drops the noise
 path entirely, so it stores no M or rho; "no_dn" keeps the dictionary
@@ -32,6 +34,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from .admm_oracle import AdmmConfig, power_iteration_norm
+from .dataset import Batch
 
 logger = logging.getLogger(__name__)
 
@@ -470,19 +473,22 @@ def _bind_params(params: UnfoldParams) -> dict[str, tc.DiffNode]:
 
 
 def forward(
-    batch,
+    batch: Batch,
     params: UnfoldParams,
     labels_for_fusion=None,
     inference: bool = False,
 ) -> ForwardResult:
     """Run the unrolled layers, then fuse the last layer's per-view codes.
 
-    State starts at Z = 0, E = 0, D = D_init; layer 0 has no Z R term.
-    The last layer runs RF only, so the last trace entry holds its code
-    and the D and E it read. The views are fused once, after the last
-    layer. Weight source: the snapshot in inference mode (required),
-    label-derived weights when labels are supplied (falling back to
-    uniform if fusion is infeasible), uniform otherwise.
+    State starts at Z = 0, E = 0, D = D_init. The layout (`param_shapes`)
+    decides what runs: each (layer, view) runs RF, with the Z R term only
+    if it holds an r, then CD if it holds an m and DN if it holds a rho.
+    So layer 0 has no Z R term, and the last layer runs RF only: the last
+    trace entry holds its code and the D and E it read. The views are
+    fused once, after the last layer. Weight source: the snapshot in
+    inference mode (required), label-derived weights when labels are
+    supplied (falling back to uniform if fusion is infeasible), uniform
+    otherwise.
 
     Inference runs the same kernels on plain arrays: it binds no
     parameter nodes and records nothing, and `z_fused` is a plain array.
@@ -490,19 +496,15 @@ def forward(
     by `trainer.train` after each step): a non-finite entry written since
     makes the fused code non-finite, or a threshold raise `NumericError`.
     """
-    views = batch.views if hasattr(batch, "views") else list(batch)
-    if len(views) != params.n_views:
-        raise tc.ShapeError(f"batch has {len(views)} views, params expect {params.n_views}")
+    if len(batch.views) != params.n_views:
+        raise tc.ShapeError(f"batch has {len(batch.views)} views, params expect {params.n_views}")
     if inference and params.fusion_weights_snapshot is None:
         raise StateError("inference requires a fusion weight snapshot; train first")
 
-    if inference:
-        nodes = {}
-        p = params.arrays
-    else:
-        nodes = p = _bind_params(params)
+    p = params.arrays if inference else _bind_params(params)
+    nodes = {} if inference else p
     v_count = params.n_views
-    x = [tc.matrix(v) for v in views]
+    x = [tc.matrix(v) for v in batch.views]
     z: list = [None] * v_count
     e: list = [None] * v_count
     key = param_key
@@ -511,25 +513,20 @@ def forward(
     trace: list[LayerState] = []
     for l in range(params.num_layers):
         for v in range(v_count):
-            z[v] = rf_forward(
-                z[v], x[v], e[v], d[v],
-                p[key("r", l, v)] if l else None, p[key("u", l, v)], p[key("theta", l, v)],
-            )
-            if l == params.num_layers - 1:
-                continue
-            if params.ablation != "no_cd_dn":
+            r = p[key("r", l, v)] if key("r", l, v) in p else None
+            z[v] = rf_forward(None if r is None else z[v], x[v], e[v], d[v], r,
+                              p[key("u", l, v)], p[key("theta", l, v)])
+            if key("m", l, v) in p:
                 d[v] = cd_forward(z[v], x[v], e[v], p[key("m", l, v)])
-            if params.ablation == "full":
+            if key("rho", l, v) in p:
                 e[v] = dn_forward(x[v], z[v], d[v], p[key("rho", l, v)])
-        trace.append(
-            LayerState(
-                z=[tc.value_of(zv) for zv in z],
-                d=[tc.value_of(dv) for dv in d],
-                e=[np.zeros_like(xv) if ev is None else tc.value_of(ev) for ev, xv in zip(e, x)],
-            )
-        )
+        trace.append(LayerState(
+            z=[tc.value_of(zv) for zv in z],
+            d=[tc.value_of(dv) for dv in d],
+            e=[np.zeros_like(xv) if ev is None else tc.value_of(ev) for ev, xv in zip(e, x)],
+        ))
 
-    uniform = np.full((1, v_count), 1.0 / v_count)
+    w = np.full((1, v_count), 1.0 / v_count)
     if inference:
         w = tc.matrix(params.fusion_weights_snapshot.reshape(1, -1))
     elif labels_for_fusion is not None:
@@ -537,9 +534,6 @@ def forward(
             w = fusion_weights(z, labels_for_fusion)
         except FusionError as exc:
             logger.warning("fusion fallback to uniform weights: %s", exc)
-            w = uniform
-    else:
-        w = uniform
 
     z_fused = tc.custom_op(_weighted_sum_kernel, w, *z)
     weights = tc.value_of(w).ravel().copy()

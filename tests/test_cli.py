@@ -203,8 +203,14 @@ class TestConfigValueTypes:
             "bool_for_float", "null_for_float", "string_for_optional", "split_string_float",
             "split_fractional_seed", "split_number_for_tuple", "split_short_tuple"])
     def test_wrong_type_is_usage_error(self, tmp_path, caplog, command, config, field):
+        self._refused(tmp_path, caplog, command, json.dumps(config), field)
+        assert "TypeError" not in caplog.text
+
+    @staticmethod
+    def _refused(tmp_path, caplog, command, text, field):
+        """`command` with config `text` exits 1 naming `field` and writes nothing."""
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(text)
         inputs = {"train": ["--manifest", "m.json", "--split", "s.json"],
                   "eval": ["--checkpoint", "c.json", "--manifest", "m.json", "--split", "s.json"],
                   "oracle": ["--manifest", "m.json"], "split": ["--manifest", "m.json"],
@@ -212,8 +218,26 @@ class TestConfigValueTypes:
         out = tmp_path / "out"
         assert main([command, *inputs, "--config", str(cfg), "--out", str(out)]) == 1
         assert f"config value '{field}' must be" in caplog.text
-        assert "TypeError" not in caplog.text
         assert not out.exists()
+
+    # raw JSON text: Python's json reads NaN and Infinity, and 1e400 as inf
+    @pytest.mark.parametrize("command, text, field", [
+        ("synth", '{"synth": {"sep_scale": NaN}}', "synth.sep_scale"),
+        ("split", '{"split": {"openness": Infinity}}', "split.openness"),
+        ("split", '{"split": {"ratios": [0.5, NaN, 0.4]}}', "split.ratios"),
+        ("train", '{"train": {"learning_rate": NaN}}', "train.learning_rate"),
+        ("train", '{"train": {"threshold_step_scale": Infinity}}', "train.threshold_step_scale"),
+        ("train", '{"train": {"mix": {"omega": NaN}}}', "train.mix.omega"),
+        ("train", '{"train": {"loss": {"xi": -Infinity}}}', "train.loss.xi"),
+        ("train", '{"train": {"admm": {"alpha": 1e400}}}', "train.admm.alpha"),
+        ("eval", '{"eval": {"fpr_targets": [0.1, NaN]}}', "eval.fpr_targets"),
+        ("oracle", '{"oracle": {"alpha": Infinity}}', "oracle.alpha"),
+        ("oracle", '{"oracle": {"gamma": 1' + "0" * 400 + '}}', "oracle.gamma"),
+    ], ids=["synth", "split", "split_tuple", "train", "train_optional", "train_mix",
+            "train_loss", "train_admm_overflow", "eval_tuple", "oracle", "oracle_huge_int"])
+    def test_non_finite_number_is_usage_error(self, tmp_path, caplog, command, text, field):
+        self._refused(tmp_path, caplog, command, text, field)
+        assert "OverflowError" not in caplog.text
 
     def test_configs_in_use_load(self):
         from openviewer.cli import _build_sections

@@ -118,12 +118,24 @@ class TestSgdStep:
 
     def test_preconditioner_scales(self):
         params = init_params([8, 6], 3, seed=1, num_layers=2, expected_rows=20)
-        scales = step_preconditioner(params, threshold_step_scale=0.02)
-        assert scales["d_init/0"] == 1.0
-        assert scales["r/1/1"] == 1.0
-        assert scales["u/0/0"] == pytest.approx(float(params.arrays["u/0/0"][0, 0]) ** 2)
-        assert scales["m/0/0"] == pytest.approx(float(params.arrays["m/0/0"][0, 0]) ** 2)
-        assert scales["theta/1/0"] == 0.02
+        vector = step_preconditioner(params, threshold_step_scale=0.02)
+        assert vector.shape == params.flat.shape
+        scales = unfold_net._views(vector, params.shapes())
+        assert np.all(scales["d_init/0"] == 1.0)
+        assert np.all(scales["r/1/1"] == 1.0)
+        assert np.all(scales["u/0/0"] == float(params.arrays["u/0/0"][0, 0]) ** 2)
+        assert np.all(scales["m/0/0"] == float(params.arrays["m/0/0"][0, 0]) ** 2)
+        assert scales["theta/1/0"].item() == scales["rho/0/1"].item() == 0.02
+        # the thresholds are the entries sgd_step clamps, and only those
+        assert np.array_equal(np.flatnonzero(vector == 0.02), params.threshold_index)
+
+    def test_preconditioner_default_threshold_scales(self):
+        params = init_params([8, 6], 3, seed=1, num_layers=2, expected_rows=20)
+        params.arrays["theta/0/0"][0, 0] = 1e-5
+        scales = unfold_net._views(step_preconditioner(params), params.shapes())
+        assert scales["theta/0/0"].item() == 1e-3 ** 2
+        for name in ("theta/1/1", "rho/0/0"):
+            assert scales[name].item() == params.arrays[name].item() ** 2
 
 
 class TestTrain:
@@ -456,6 +468,19 @@ class TestCheckpoints:
         _, _, _, path = self._trained(tmp_path)
         payload = json.loads(path.read_text())
         edit(payload["centers"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=rf"checkpoint .*ckpt\.json: {message}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.__setitem__("config", [1, 2]), "config must be an object, got list"),
+        (lambda p: p["config"].__setitem__("normalize", "no"),
+         "config.normalize must be a bool, got 'no'"),
+    ], ids=["config_list", "normalize_string"])
+    def test_bad_config_rejected(self, tmp_path, edit, message):
+        _, _, _, path = self._trained(tmp_path)
+        payload = json.loads(path.read_text())
+        edit(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match=rf"checkpoint .*ckpt\.json: {message}"):
             load_checkpoint(path)

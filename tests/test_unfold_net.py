@@ -1,3 +1,4 @@
+import collections
 import copy
 import math
 import re
@@ -636,6 +637,50 @@ class TestNamedParams:
                 reads.clear()
                 forward(batch, params, labels_for_fusion=batch.labels)
                 assert reads == list(param_shapes(dims, classes, layers, mode)), (mode, layers)
+
+    def test_modules_run_where_the_layout_holds_their_parameters(self, monkeypatch):
+        # each call is placed by the parameter it reads: RF its u, CD its m, DN its rho
+        calls = []
+        placed_by = {"rf_forward": 5, "cd_forward": 3, "dn_forward": 3}
+        for op in placed_by:
+            def counted(*args, _run=getattr(unfold_net, op), _op=op):
+                calls.append((_op, args))
+                return _run(*args)
+            monkeypatch.setattr(unfold_net, op, counted)
+        dataset, _ = synthgen.generate(small_spec())
+        batch = batch_from_dataset(dataset, range(0, 40, 4))
+        dims, classes, views = dataset.view_dims, dataset.class_count, dataset.n_views
+        module_of = {"u": "rf_forward", "r": "z_r", "m": "cd_forward", "rho": "dn_forward"}
+        for mode in ABLATIONS:
+            for layers in (1, 2, 3):
+                params = init_params(dims, classes, seed=4, num_layers=layers, ablation=mode)
+                params.fusion_weights_snapshot = np.full(views, 1.0 / views)
+                for inference in (False, True):
+                    calls.clear()
+                    res = forward(batch, params, labels_for_fusion=batch.labels,
+                                  inference=inference)
+                    bound = res.param_nodes or params.arrays
+                    name_of = {id(a): name for name, a in bound.items()}
+                    ran = collections.Counter()
+                    for op, args in calls:
+                        _, l, v = name_of[id(args[placed_by[op]])].split("/")
+                        ran[op, int(l), int(v)] += 1
+                        if op == "rf_forward" and args[4] is not None:
+                            assert args[0] is not None  # Z R reads the previous code
+                            ran["z_r", int(l), int(v)] += 1
+                    expected = collections.Counter()
+                    for name in param_shapes(dims, classes, layers, mode):
+                        kind, *index = name.split("/")
+                        if kind in module_of:
+                            expected[(module_of[kind], *map(int, index))] += 1
+                    assert ran == expected, (mode, layers, inference)
+                    totals = collections.Counter(op for op, *_ in ran.elements())
+                    inner = (layers - 1) * views
+                    assert totals == collections.Counter({
+                        "rf_forward": layers * views, "z_r": inner,
+                        "cd_forward": 0 if mode == "no_cd_dn" else inner,
+                        "dn_forward": inner if mode == "full" else 0,
+                    }), (mode, layers, inference)
 
 
 class TestSerialization:
