@@ -28,7 +28,6 @@ start-up per process.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -67,6 +66,10 @@ class AdmmConfig:
             raise ValueError("alpha, beta, gamma must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.group_axis != "columns":
             raise ValueError(f"group_axis must be 'columns', got {self.group_axis!r}")
 
@@ -94,16 +97,9 @@ class AdmmState:
 
 
 def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration,
-    started from a fixed unit vector (a seed-12345 normal draw).
-
-    Each step does one product: `mat @ vec` gives both the Rayleigh
-    quotient of the current vector and the next vector, so the loop carries
-    it over instead of recomputing it. On the solver's c x c matrices a
-    step's cost is mostly numpy call overhead, so the loop binds `mat.dot`
-    once and uses `/` and `.dot`: they reach the same BLAS dgemv/ddot and
-    the same division as `np.matmul(..., out=)` and `np.divide(..., out=)`,
-    and give the same bits, with fewer argument checks.
+    """Largest eigenvalue of a symmetric PSD matrix by power iteration from
+    a fixed unit vector (a seed-12345 normal draw); each step's one product
+    `mat @ vec` gives the Rayleigh quotient and the next vector.
 
     Near-degenerate leading eigenvalues slow the tail of the iteration; an
     estimate whose relative change at the cap is below 1e-5 is accepted
@@ -119,23 +115,19 @@ def power_iteration_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 10
         shown = ", ".join(f"({i}, {j})" for i, j in bad[:5]) + (", ..." if len(bad) > 5 else "")
         raise ValueError(f"power iteration needs a finite matrix, got {len(bad)} "
                          f"non-finite entries at {shown}")
-    step = mat.dot
     it = np.random.default_rng(12345).normal(size=n)
     it /= np.linalg.norm(it)
-    nxt = step(it)
+    nxt = mat @ it
     lam = 0.0
     change = np.inf
     for _ in range(max_iter):
-        # what np.linalg.norm computes for a real vector, minus its dispatch
-        norm = math.sqrt(nxt.dot(nxt))
+        norm = np.linalg.norm(nxt)
         if norm == 0.0:
             return 0.0
         it = nxt / norm
-        nxt = step(it)
-        lam_new = float(it.dot(nxt))
-        # the relative change against max(1.0, |lam_new|), minus the call
-        scale = abs(lam_new)
-        change = abs(lam_new - lam) / (scale if scale > 1.0 else 1.0)
+        nxt = mat @ it
+        lam_new = float(it @ nxt)
+        change = abs(lam_new - lam) / max(1.0, abs(lam_new))
         if change <= tol:
             return lam_new
         lam = lam_new

@@ -310,7 +310,7 @@ def run_gradcheck(seed: int = 7, eps: float = 1e-5):
     loss over every parameter, against central finite differences."""
     from . import tensor_core as tc
     from .losses import LossConfig, total_loss
-    from .unfold_net import forward
+    from .unfold_net import _views, forward
 
     combined, params = build_gradcheck_scenario(seed)
     loss_cfg = LossConfig(xi=1.0, lambda1=0.3, lambda2=0.2)
@@ -320,19 +320,19 @@ def run_gradcheck(seed: int = 7, eps: float = 1e-5):
     def loss():
         res = forward(combined, params, labels_for_fusion=combined.labels)
         node, _ = total_loss(res.z_fused, combined.labels, combined.is_pseudo, centers, loss_cfg)
-        return node, res.param_nodes
+        return node, res.grad
 
-    # analytic gradients come from the bound parameter nodes; the
+    # analytic gradients come from the tape's gradient vector; the
     # finite-difference twin perturbs raw entries through the whole pipeline
-    root, param_nodes = loss()
+    root, grad = loss()
     tc.backward(root)
 
-    arrays = params.arrays
+    grads = _views(grad, params.shapes())
     per_param = {
-        name: tc.central_difference_error(lambda: loss()[0].item(), arrays[name], node.grad, eps)
-        for name, node in param_nodes.items()
+        name: tc.central_difference_error(lambda: loss()[0].item(), params.arrays[name], g, eps)
+        for name, g in grads.items()
     }
-    grad_norms = {name: float(np.linalg.norm(node.grad)) for name, node in param_nodes.items()}
+    grad_norms = {name: float(np.linalg.norm(g)) for name, g in grads.items()}
     return max(per_param.values()), per_param, grad_norms
 
 
@@ -395,6 +395,12 @@ def _ratios(text: str) -> tuple[float, ...]:
     return tuple(map(float, parts))
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():  # a sign, a fraction or no number at all
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="openviewer", description=__doc__)
     parser.add_argument("--version", action="version", version=version_info())
@@ -402,7 +408,7 @@ def _build_parser() -> _Parser:
 
     def common(p, out_required=True):
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--quiet", action="store_true")
         if out_required:
             p.add_argument("--out", required=True, help="output directory")

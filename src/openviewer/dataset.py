@@ -255,6 +255,8 @@ def openness_split(
         raise SplitError(f"ratios must be finite and lie in [0, 1], got {ratios}")
     if abs(1.0 - (ratios[0] + ratios[1] + ratios[2])) > 1e-9:
         raise SplitError(f"ratios must sum to 1, got {ratios}")
+    if seed < 0:
+        raise SplitError(f"seed must be >= 0, got {seed}")
     total = dataset.class_count
     candidates = range(2, total + 1)
     if not candidates:

@@ -41,6 +41,8 @@ class SynthSpec:
             raise ValueError("noise_col_frac must lie in [0, 0.5]")
         if self.sep_scale <= 0 or self.noise_magnitude < 0 or self.jitter < 0:
             raise ValueError("scales must be non-negative (sep_scale positive)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

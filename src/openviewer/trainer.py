@@ -72,10 +72,15 @@ class TrainConfig:
             raise TrainerError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate < 0:
             raise TrainerError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        scale = self.threshold_step_scale
+        if scale is not None and scale < 0:
+            raise TrainerError(f"threshold_step_scale must be >= 0, got {scale}")
         if self.batch_size < 2:
             raise TrainerError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.layers < 1:
             raise TrainerError(f"layers must be >= 1, got {self.layers}")
+        if self.seed < 0:
+            raise TrainerError(f"seed must be >= 0, got {self.seed}")
         if self.warm_start:
             raise TrainerError("warm_start must be false: training starts from the analytic init")
 
@@ -239,8 +244,7 @@ def train(
                 )
             margin = min(margin, bound - measured)
 
-            grads = np.concatenate([n.grad.ravel() for n in res.param_nodes.values()])
-            sgd_step(params, grads * preconditioner, config.learning_rate)
+            sgd_step(params, res.grad * preconditioner, config.learning_rate)
             if not np.isfinite(params.flat).all():
                 name = next(n for n, a in params.arrays.items() if not np.isfinite(a).all())
                 raise TrainerError(f"non-finite {name} after epoch {epoch} batch {b_idx}")

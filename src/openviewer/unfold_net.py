@@ -183,10 +183,11 @@ class LayerState:
 
 @dataclass
 class ForwardResult:
-    """`z_fused` is a tape node, or a plain array in inference mode."""
+    """`z_fused` is a tape node and `grad` the parameters' gradient in `flat`'s
+    layout, filled by `tc.backward`; in inference mode a plain array and None."""
 
     z_fused: tc.DiffNode | np.ndarray
-    param_nodes: dict[str, tc.DiffNode]
+    grad: np.ndarray | None
     trace: list[LayerState] = field(default_factory=list)
     weights: np.ndarray | None = None
 
@@ -245,7 +246,8 @@ def init_params(
 # hand-written VJP. The VJPs repeat the float operations, operand layouts
 # and accumulation order of the equivalent fine-grained graph (`sub`,
 # `transpose`, `matmul`, ... in `tests/fine_ops.py`), so gradients match it
-# bitwise. Plain arrays in give a plain array out, with nothing recorded.
+# bitwise. X is data, never learned: the VJPs send it no gradient. Plain
+# arrays in give a plain array out, with nothing recorded.
 
 
 def _residual(x, e_prev, op: str):
@@ -296,11 +298,9 @@ def _rf_kernel(z_prev, x, e_prev, d, r, u, theta):
             yield 4, z_prev.T @ g_pre
         g_p1 = g_pre @ u.T
         yield 5, p1.T @ g_pre
-        g_resid = g_p1 @ d_t.T
         yield 3, (resid.T @ g_p1).T
-        yield 1, g_resid
         if e_prev is not None:
-            yield 2, -g_resid
+            yield 2, -(g_p1 @ d_t.T)
 
     return out, vjp
 
@@ -320,10 +320,8 @@ def _cd_kernel(z, x, e_prev, m):
         yield 3, g @ p.T
         g_p = m.T @ g
         yield 0, (g_p @ resid.T).T
-        g_resid = z_t.T @ g_p
-        yield 1, g_resid
         if e_prev is not None:
-            yield 2, -g_resid
+            yield 2, -(z_t.T @ g_p)
 
     return out, vjp
 
@@ -354,7 +352,6 @@ def _dn_kernel(x, z, d, rho):
         if not active.all():
             g_a = np.where(active, g_a, 0.0)
         yield 3, np.array([[-np.where(active, inner / safe, 0.0).sum()]])
-        yield 0, g_a
         # X - Z D: negating the products equals multiplying by -g_a, bit for bit
         yield 1, -(g_a @ d.T)
         yield 2, -(z.T @ g_a)
@@ -467,9 +464,14 @@ def _weighted_sum_kernel(w, *codes):
 # full forward pass
 
 
-def _bind_params(params: UnfoldParams) -> dict[str, tc.DiffNode]:
-    # one copy of the vector, so the tape keeps its values while sgd_step writes it
-    return {n: tc.DiffNode(a) for n, a in _views(params.flat.copy(), params.shapes()).items()}
+def _bind_params(params: UnfoldParams) -> tuple[dict[str, tc.DiffNode], np.ndarray]:
+    """Leaves on one copy of `flat`, so the tape keeps its values while
+    sgd_step writes it; each leaf's `grad` is its slice of one zero vector."""
+    shapes, grad = params.shapes(), np.zeros(params.flat.size)
+    nodes = {n: tc.DiffNode(a) for n, a in _views(params.flat.copy(), shapes).items()}
+    for node, slot in zip(nodes.values(), _views(grad, shapes).values()):
+        node.grad = slot
+    return nodes, grad
 
 
 def forward(
@@ -501,8 +503,7 @@ def forward(
     if inference and params.fusion_weights_snapshot is None:
         raise StateError("inference requires a fusion weight snapshot; train first")
 
-    p = params.arrays if inference else _bind_params(params)
-    nodes = {} if inference else p
+    p, grad = (params.arrays, None) if inference else _bind_params(params)
     v_count = params.n_views
     x = [tc.matrix(v) for v in batch.views]
     z: list = [None] * v_count
@@ -537,7 +538,7 @@ def forward(
 
     z_fused = tc.custom_op(_weighted_sum_kernel, w, *z)
     weights = tc.value_of(w).ravel().copy()
-    return ForwardResult(z_fused=z_fused, param_nodes=nodes, trace=trace, weights=weights)
+    return ForwardResult(z_fused=z_fused, grad=grad, trace=trace, weights=weights)
 
 
 def predict(z_fused: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -157,7 +157,7 @@ def weighted_sum(w: tc.DiffNode, z_views) -> tc.DiffNode:
 
 def forward(batch, params: UnfoldParams, labels_for_fusion=None) -> ForwardResult:
     """The training forward with every step on the tape."""
-    nodes = _bind_params(params)
+    nodes, grad = _bind_params(params)
     v_count = params.n_views
     x = [tc.leaf(v) for v in batch.views]
     z = [None] * v_count
@@ -190,7 +190,7 @@ def forward(batch, params: UnfoldParams, labels_for_fusion=None) -> ForwardResul
         except FusionError:
             w = uniform
     z_fused = weighted_sum(w, z)
-    return ForwardResult(z_fused=z_fused, param_nodes=nodes, trace=trace,
+    return ForwardResult(z_fused=z_fused, grad=grad, trace=trace,
                          weights=w.value.ravel().copy())
 
 
@@ -328,17 +328,17 @@ def run_gradcheck(seed: int = 7, eps: float = 1e-5):
     def loss(trial):
         res = package_forward(combined, trial, labels_for_fusion=combined.labels)
         node, _ = total_loss(res.z_fused, combined.labels, combined.is_pseudo, centers, loss_cfg)
-        return node, res.param_nodes
+        return node, res.grad
 
-    root, param_nodes = loss(params)
+    root, grad = loss(params)
     tc.backward(root)
 
     per_param = {}
     grad_norms = {}
-    for name, node in param_nodes.items():
-        grad_norms[name] = float(np.linalg.norm(node.grad))
+    for name, g in unfold_net._views(grad, params.shapes()).items():
+        grad_norms[name] = float(np.linalg.norm(g))
         err_max = 0.0
-        for j, analytic in enumerate(node.grad.flat):
+        for j, analytic in enumerate(g.flat):
             vals = []
             for sign in (1.0, -1.0):
                 trial = copy.deepcopy(params)

@@ -182,6 +182,48 @@ class TestRefusedConfig:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestNegativeValues:
+    """A negative seed, iteration cap or threshold step scale is refused
+    before anything is written, and the flag or field is named."""
+
+    @staticmethod
+    def _inputs(workspace, command):
+        tmp_path, _, data_dir = workspace
+        manifest = str(data_dir / "manifest.json")
+        return {"synth": [], "split": ["--manifest", manifest],
+                "train": ["--manifest", manifest, "--split", str(tmp_path / "split.json")],
+                "oracle": ["--manifest", manifest], "gradcheck": [], "diag": []}[command]
+
+    @pytest.mark.parametrize("command", ["synth", "split", "train", "oracle", "gradcheck",
+                                         "diag"])
+    def test_negative_seed_flag_is_usage_error(self, workspace, capsys, command):
+        out = workspace[0] / "out"
+        outputs = [] if command == "gradcheck" else ["--out", str(out)]
+        assert main([command, *self._inputs(workspace, command), "--seed", "-1", *outputs,
+                     "--quiet"]) == 1
+        assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("synth", {"synth": {"seed": -1}}, "seed must be >= 0, got -1"),
+        ("split", {"split": {"seed": -1}}, "seed must be >= 0, got -1"),
+        ("train", {"train": {"seed": -1}}, "seed must be >= 0, got -1"),
+        ("oracle", {"oracle": {"seed": -1}}, "seed must be >= 0, got -1"),
+        ("oracle", {"oracle": {"max_iter": -5}}, "max_iter must be >= 0, got -5"),
+        ("train", {"train": {"threshold_step_scale": -1.0}},
+         "threshold_step_scale must be >= 0, got -1.0"),
+    ], ids=["synth_seed", "split_seed", "train_seed", "oracle_seed", "oracle_max_iter",
+            "threshold_step_scale"])
+    def test_negative_config_value_is_refused(self, workspace, caplog, command, config,
+                                              message):
+        cfg, out = workspace[0] / "negative.json", workspace[0] / "out"
+        cfg.write_text(json.dumps(config))
+        assert main([command, *self._inputs(workspace, command), "--config", str(cfg),
+                     "--out", str(out), "--quiet"]) == EXIT_RUNTIME
+        assert message in caplog.text
+        assert not out.exists()
+
+
 class TestConfigValueTypes:
     """A config value of the wrong JSON type is a usage error (exit 1) that
     names its section and field, before any input file is read."""

@@ -354,7 +354,7 @@ class TestCentralDifferenceError:
         theta = params.arrays["theta/1/0"]
 
         def loss():  # the threshold as the forward pass binds it
-            return _bind_params(params)["theta/1/0"].item()
+            return _bind_params(params)[0]["theta/1/0"].item()
 
         assert tc.central_difference_error(loss, theta, np.ones((1, 1))) < 1e-9
         assert tc.central_difference_error(loss, theta, np.zeros((1, 1))) > 0.99

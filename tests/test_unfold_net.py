@@ -528,8 +528,9 @@ class TestGraphReach:
         node, _ = total_loss(res.z_fused, batch.labels, batch.is_pseudo, np.zeros((5, 5)),
                              LossConfig())
         tc.backward(node)
-        assert list(res.param_nodes) == list(params.arrays)
-        assert [n for n, leaf in res.param_nodes.items() if not np.any(leaf.grad)] == []
+        assert res.grad.shape == params.flat.shape
+        grads = unfold_net._views(res.grad, params.shapes())
+        assert [n for n, g in grads.items() if not np.any(g)] == []
 
     def test_fusion_nodes_do_not_grow_with_layers(self):
         def nodes_made(batch, params, labels):
@@ -597,9 +598,13 @@ class TestNamedParams:
         again.arrays["r/1/1"][2, 3] = 7.0
         assert 0.25 in again.flat and 7.0 in again.flat
         assert params.arrays["theta/1/0"][0, 0] != 0.25
-        bound = unfold_net._bind_params(again)
+        bound, grad = unfold_net._bind_params(again)
         assert bound["theta/1/0"].item() == 0.25
         assert bound["r/1/1"].value[2, 3] == 7.0
+        # each leaf's gradient is its slice of one zero vector in `flat`'s layout
+        assert same_bits(grad, np.zeros_like(again.flat))
+        bound["r/1/1"].grad[2, 3] = 1.0
+        assert np.flatnonzero(grad).tolist() == np.flatnonzero(again.flat == 7.0).tolist()
         # the bound values are a copy: a later write leaves the tape as it was
         again.flat[:] = 0.0
         assert bound["theta/1/0"].item() == 0.25
@@ -616,7 +621,8 @@ class TestNamedParams:
         assert not np.shares_memory(clone.fusion_weights_snapshot, params.fusion_weights_snapshot)
         clone.arrays["u/0/1"][0, 0] += 1.0
         assert np.count_nonzero(clone.flat != params.flat) == 1
-        assert unfold_net._bind_params(clone)["u/0/1"].value[0, 0] == params.arrays["u/0/1"][0, 0] + 1.0
+        bound, _ = unfold_net._bind_params(clone)
+        assert bound["u/0/1"].value[0, 0] == params.arrays["u/0/1"][0, 0] + 1.0
 
     def test_forward_reads_exactly_the_layout(self, monkeypatch):
         reads = []
@@ -626,8 +632,11 @@ class TestNamedParams:
                 reads.append(name)
                 return super().__getitem__(name)
 
-        bind = unfold_net._bind_params
-        monkeypatch.setattr(unfold_net, "_bind_params", lambda params: Recording(bind(params)))
+        def recording_bind(params, _bind=unfold_net._bind_params):
+            nodes, grad = _bind(params)
+            return Recording(nodes), grad
+
+        monkeypatch.setattr(unfold_net, "_bind_params", recording_bind)
         dataset, _ = synthgen.generate(small_spec())
         batch = batch_from_dataset(dataset, range(0, 40, 4))
         dims, classes = dataset.view_dims, dataset.class_count
@@ -647,6 +656,13 @@ class TestNamedParams:
                 calls.append((_op, args))
                 return _run(*args)
             monkeypatch.setattr(unfold_net, op, counted)
+        binds = []
+
+        def recording_bind(params, _bind=unfold_net._bind_params):
+            binds.append(_bind(params))
+            return binds[-1]
+
+        monkeypatch.setattr(unfold_net, "_bind_params", recording_bind)
         dataset, _ = synthgen.generate(small_spec())
         batch = batch_from_dataset(dataset, range(0, 40, 4))
         dims, classes, views = dataset.view_dims, dataset.class_count, dataset.n_views
@@ -659,7 +675,7 @@ class TestNamedParams:
                     calls.clear()
                     res = forward(batch, params, labels_for_fusion=batch.labels,
                                   inference=inference)
-                    bound = res.param_nodes or params.arrays
+                    bound = params.arrays if inference else binds[-1][0]
                     name_of = {id(a): name for name, a in bound.items()}
                     ran = collections.Counter()
                     for op, args in calls:
@@ -705,9 +721,9 @@ class TestSerialization:
         # the first six entries of each checked parameter
         res = forward(batch, params, labels_for_fusion=batch.labels)
         tc.backward(fo.frobenius_sq(res.z_fused))
-        arrays = params.arrays
+        arrays, grads = params.arrays, unfold_net._views(res.grad, params.shapes())
         for name in ("d_init/0", "r/1/0", "theta/0/1"):
-            grad = res.param_nodes[name].grad
+            grad = grads[name]
             assert tc.central_difference_error(loss, arrays[name], grad.reshape(-1)[:6]) < 1e-4
 
 
@@ -716,23 +732,31 @@ def as_leaves(inputs):
     return [tc.leaf(a) if isinstance(a, np.ndarray) else a for a in inputs]
 
 
-def op_value_and_grads(op, inputs, seed=0):
-    """Value of `op` on `as_leaves(inputs)` and the gradients of
-    <out, probe> in every leaf."""
-    args = as_leaves(inputs)
+def op_value_and_grads(op, args, seed=0):
+    """Value of `op(*args)` and the gradients of <out, probe> in every
+    argument that is a node, None for the others."""
     out = op(*args)
     probe = np.random.default_rng(seed).normal(size=out.shape)
     tc.backward(fo.sum(fo.mul_elem(out, tc.leaf(probe))))
-    return out.value, [a.grad for a in args if isinstance(a, tc.DiffNode)]
+    return out.value, [a.grad if isinstance(a, tc.DiffNode) else None for a in args]
 
 
-def assert_matches_fine_graph(op, reference, inputs, seed=0):
-    value, grads = op_value_and_grads(op, inputs, seed)
-    ref_value, ref_grads = op_value_and_grads(reference, inputs, seed)
+def assert_matches_fine_graph(op, reference, inputs, seed=0, data=None):
+    """`op` on `as_leaves(inputs)` gives the value and gradients of the
+    fine graph `reference`, bit for bit. The input at position `data` enters
+    `op` as plain data, as X does in the network; the fine graph, whose ops
+    take nodes only, gets it as a leaf whose gradient is not compared."""
+    args = as_leaves(inputs)
+    if data is not None:
+        args[data] = inputs[data]
+    value, grads = op_value_and_grads(op, args, seed)
+    ref_value, ref_grads = op_value_and_grads(reference, as_leaves(inputs), seed)
+    if data is not None:
+        ref_grads[data] = None
     assert same_bits(value, ref_value)
-    assert len(grads) == len(ref_grads)
+    assert [g is None for g in grads] == [g is None for g in ref_grads]
     for g, g_ref in zip(grads, ref_grads):
-        assert same_bits(g, g_ref)
+        assert g is None or same_bits(g, g_ref)
     return value, grads
 
 
@@ -746,15 +770,17 @@ def rf_inputs(rng, with_state, n=9, dim=7, c=4, theta=0.6):
 
 
 class TestModuleOps:
-    """Each module is one tape op whose value and input gradients equal the
-    fine-grained graph of `fine_reference` bit for bit."""
+    """Each module is one tape op whose value and gradients in every input
+    but the data X equal the fine-grained graph of `fine_reference` bit for
+    bit."""
 
     @pytest.mark.parametrize("with_state", [False, True])
     def test_rf_matches_fine_graph(self, with_state):
         rng = np.random.default_rng(30)
         for trial in range(5):
             inputs = rf_inputs(rng, with_state)
-            out, _ = assert_matches_fine_graph(rf_forward, ref.rf_forward, inputs, seed=trial)
+            out, _ = assert_matches_fine_graph(rf_forward, ref.rf_forward, inputs, seed=trial,
+                                              data=1)
             # both the dead zone and active entries are exercised
             assert np.any(out == 0.0) and np.any(out != 0.0)
 
@@ -765,7 +791,7 @@ class TestModuleOps:
             z, x = rng.normal(size=(9, 4)), rng.normal(size=(9, 7))
             e = 0.3 * rng.normal(size=(9, 7)) if with_state else None
             inputs = [z, x, e, rng.normal(size=(4, 4))]
-            assert_matches_fine_graph(cd_forward, ref.cd_forward, inputs, seed=trial)
+            assert_matches_fine_graph(cd_forward, ref.cd_forward, inputs, seed=trial, data=1)
 
     def test_dn_matches_fine_graph(self):
         rng = np.random.default_rng(32)
@@ -774,7 +800,7 @@ class TestModuleOps:
             norms = np.linalg.norm(x - z @ d, axis=0)
             rho = np.array([[np.median(norms)]])
             out, _ = assert_matches_fine_graph(
-                dn_forward, ref.dn_forward, [x, z, d, rho], seed=trial
+                dn_forward, ref.dn_forward, [x, z, d, rho], seed=trial, data=0
             )
             group_norms = np.linalg.norm(out, axis=0)
             assert np.any(group_norms == 0.0) and np.any(group_norms > 0.0)
@@ -813,9 +839,9 @@ class TestModuleOps:
         assert same_bits(res.z_fused.value, res_ref.z_fused.value)
         assert same_bits(res.z_fused.grad, res_ref.z_fused.grad)
         assert same_bits(res.weights, res_ref.weights)
-        assert list(res.param_nodes) == list(res_ref.param_nodes)
-        for name, leaf in res.param_nodes.items():
-            assert same_bits(leaf.grad, res_ref.param_nodes[name].grad), name
+        ref_grads = unfold_net._views(res_ref.grad, params.shapes())
+        for name, grad in unfold_net._views(res.grad, params.shapes()).items():
+            assert same_bits(grad, ref_grads[name]), name
 
     def test_plain_arrays_give_plain_arrays(self):
         rng = np.random.default_rng(37)
@@ -826,15 +852,31 @@ class TestModuleOps:
         assert isinstance(out, np.ndarray)
         assert same_bits(out, rf_forward(*as_leaves(inputs)).value)
 
+    def test_data_gets_no_gradient(self):
+        # X is never learned: a leaf passed as X receives nothing, while E,
+        # read in the same residual X - E, does
+        z, x, e, d, r, u, theta = as_leaves(rf_inputs(np.random.default_rng(41), with_state=True))
+        outs = (rf_forward(z, x, e, d, r, u, theta), cd_forward(z, x, e, r),
+                dn_forward(x, z, d, theta))
+        total = fo.frobenius_sq(outs[0])
+        for out in outs[1:]:
+            total = fo.add(total, fo.frobenius_sq(out))
+        tc.backward(total)
+        assert np.any(e.grad) and not np.any(x.grad)
+
     def test_finite_differences(self):
+        # every input but the data X, which enters as a plain array
         rng = np.random.default_rng(38)
+        rf_args = rf_inputs(rng, with_state=True)
+        cd_args = [rng.normal(size=(6, 3)), rng.normal(size=(6, 5)), rng.normal(size=(6, 5)),
+                   rng.normal(size=(3, 3))]
+        dn_args = [rng.normal(size=(6, 5)), rng.normal(size=(6, 3)), rng.normal(size=(3, 5)),
+                   np.array([[1.5]])]
+        rf_x, cd_x, dn_x = rf_args.pop(1), cd_args.pop(1), dn_args.pop(0)
         cases = [
-            (rf_forward, rf_inputs(rng, with_state=True)),
-            (cd_forward, [rng.normal(size=(6, 3)), rng.normal(size=(6, 5)),
-                          rng.normal(size=(6, 5)), rng.normal(size=(3, 3))]),
-            (dn_forward,
-             [rng.normal(size=(6, 5)), rng.normal(size=(6, 3)), rng.normal(size=(3, 5)),
-              np.array([[1.5]])]),
+            (lambda z, *rest: rf_forward(z, rf_x, *rest), rf_args),
+            (lambda z, *rest: cd_forward(z, cd_x, *rest), cd_args),
+            (lambda *rest: dn_forward(dn_x, *rest), dn_args),
             (lambda w, z0, z1: tc.custom_op(unfold_net._weighted_sum_kernel, w, z0, z1),
              [np.array([[0.3, 0.7]]), rng.normal(size=(6, 3)), rng.normal(size=(6, 3))]),
         ]
@@ -904,7 +946,7 @@ class TestTapeSize:
         start = next(tc._NODE_COUNTER)
         res = forward(batch, params, inference=True)
         assert next(tc._NODE_COUNTER) == start + 1
-        assert isinstance(res.z_fused, np.ndarray) and res.param_nodes == {}
+        assert isinstance(res.z_fused, np.ndarray) and res.grad is None
         # the taped forward with the snapshot as constant weights
         w = params.fusion_weights_snapshot.reshape(1, -1)
         taped = forward(batch, params)
